@@ -76,28 +76,14 @@ func auditSelected(jobID, taskID string, rate float64) bool {
 
 func (c *Coordinator) auditEnabled() bool { return c.opts.AuditRate > 0 }
 
-// openAuditLocked opens (idempotently) the audit entry for a completed
-// task whose recorded value came from original.
-func (c *Coordinator) openAuditLocked(j *gridJob, t job.Task, original string) {
-	tid := t.ID()
-	if _, ok := j.audits[tid]; ok || j.verified[tid] {
-		return
-	}
-	j.audits[tid] = &auditState{
-		task: t, original: original,
-		relaxAt: c.now().Add(c.opts.leaseTTL()),
-	}
-	c.metrics.auditsOpened.Inc()
-}
+// leased reports whether an auditor is re-computing the task.
+func (a *auditState) leased() bool { return a.phase == auditLeased || a.phase == arbLeased }
 
 // auditRenewLocked extends an audit/arbitration lease held by worker,
 // so heartbeats keep re-checks alive exactly like ordinary leases.
 func (c *Coordinator) auditRenewLocked(j *gridJob, tid, worker string, deadline time.Time) bool {
 	ast, ok := j.audits[tid]
-	if !ok || worker == "" || ast.auditor != worker {
-		return false
-	}
-	if ast.phase != auditLeased && ast.phase != arbLeased {
+	if !ok || worker == "" || ast.auditor != worker || !ast.leased() {
 		return false
 	}
 	ast.deadline = deadline
@@ -111,23 +97,16 @@ func (c *Coordinator) auditRenewLocked(j *gridJob, tid, worker string, deadline 
 // keeps audits live too.
 func (c *Coordinator) auditExpireLocked(j *gridJob, now time.Time) {
 	for tid, ast := range j.audits {
-		if (ast.phase == auditLeased || ast.phase == arbLeased) && ast.deadline.Before(now) {
-			c.workerFailedLocked(ast.auditor)
-			ast.auditor = ""
-			ast.relaxAt = now.Add(c.opts.leaseTTL())
-			if ast.phase == auditLeased {
-				ast.phase = auditPending
-			} else {
-				ast.phase = arbPending
-			}
+		if ast.leased() && ast.deadline.Before(now) {
+			c.record(j, walRecord{T: walExpire, Job: j.id, Task: tid, Worker: ast.auditor}, nil)
 		}
 		if ast.phase == arbPending && !ast.giveUpAt.IsZero() && ast.giveUpAt.Before(now) {
 			// Unresolvable split (e.g. both claimants quarantine-proof
 			// in a 2-worker grid): discard both claims and re-run.
 			c.logf("grid: job %s: task %s audit split unresolved (%q vs %q), re-queueing",
 				j.id, tid, ast.original, ast.second)
-			c.invalidateTaskLocked(j, tid)
-			delete(j.audits, tid)
+			c.record(j, walRecord{T: walExpire, Job: j.id, Task: tid}, nil)
+			c.expungeLocked(j, ast.task)
 		}
 	}
 }
@@ -136,10 +115,11 @@ func (c *Coordinator) auditExpireLocked(j *gridJob, now time.Time) {
 // worker is eligible for. Audits are granted before pending work: a
 // handful of re-checks catching a liar early is worth more than the
 // same slots of fresh work it would poison.
-func (c *Coordinator) grantAuditsLocked(j *gridJob, worker string, room int, now time.Time, deadline time.Time) []LeaseTask {
+func (c *Coordinator) grantAuditsLocked(j *gridJob, worker string, room int, ttl time.Duration) []LeaseTask {
 	if worker == "" || room <= 0 || len(j.audits) == 0 {
 		return nil
 	}
+	now := c.now()
 	var out []LeaseTask
 	for _, tid := range j.order {
 		if len(out) == room {
@@ -149,12 +129,11 @@ func (c *Coordinator) grantAuditsLocked(j *gridJob, worker string, room int, now
 		if !ok {
 			continue
 		}
-		relaxed := !now.Before(ast.relaxAt)
 		switch ast.phase {
 		case auditPending:
 			// Prefer a different worker than the producer; relax so a
 			// sole surviving worker cannot wedge the job.
-			if worker == ast.original && !relaxed {
+			if worker == ast.original && now.Before(ast.relaxAt) {
 				continue
 			}
 		case arbPending:
@@ -167,19 +146,8 @@ func (c *Coordinator) grantAuditsLocked(j *gridJob, worker string, room int, now
 		default:
 			continue
 		}
-		if ast.phase == auditPending {
-			ast.phase = auditLeased
-		} else {
-			ast.phase = arbLeased
-		}
-		ast.auditor = worker
-		ast.deadline = deadline
-		t := ast.task
-		out = append(out, LeaseTask{
-			Task: tid, Measure: t.Measure, Lo: t.Lo, Hi: t.Hi,
-			TTLMS: deadline.Sub(now).Milliseconds(),
-		})
-		c.walAppendLocked(false, walRecord{T: walLease, Job: j.id, Task: tid, Worker: worker})
+		c.record(j, walRecord{T: walLease, Job: j.id, Task: tid, Worker: worker}, nil)
+		out = append(out, leaseTask(tid, ast.task, ttl))
 	}
 	return out
 }
@@ -211,213 +179,140 @@ func equalValues(a, b []float64) bool {
 //	third distinct value          → determinism broken: re-run, loudly
 func (c *Coordinator) auditIngestLocked(j *gridJob, st *taskState, up ResultUpload) (ResultAck, func()) {
 	tid := up.Task
-	recorded := j.results[tid]
 	ast := j.audits[tid]
 	vals := []float64(up.Values)
-	elapsed := time.Duration(up.ElapsedMS) * time.Millisecond
+	dup := ResultAck{Accepted: true, Duplicate: true}
 
 	// Uploads that carry no audit information: the producer re-sending
 	// its own value, or anything after verification settled.
 	if up.Worker == "" || j.verified[tid] || (up.Worker == j.doneBy[tid] && ast == nil) {
 		c.metrics.duplicates.Inc()
 		c.touchWorkerLocked(up.Worker)
-		return ResultAck{Accepted: true, Duplicate: true}, nil
+		return dup, nil
 	}
 
-	if equalValues(vals, recorded) {
+	rec := walRecord{T: walVerify, Job: j.id, Task: tid, Worker: up.Worker, ElapsedMS: up.ElapsedMS}
+	if equalValues(vals, j.results[tid]) {
 		// Agreement with the record verifies it — whether this upload
 		// was the assigned auditor, a hedge loser, or a stray retry.
-		c.workerDoneLocked(up.Worker, elapsed)
-		c.markVerifiedLocked(j, st.task, up.Worker)
-		return ResultAck{Accepted: true, Duplicate: true}, nil
+		c.record(j, rec, nil)
+		c.verifiedLocked(j, st.task)
+		return dup, nil
 	}
 
 	// Mismatch against the record.
 	c.metrics.auditMismatches.Inc()
-	now := c.now()
-	if ast == nil || ast.second == "" {
-		// First dissent: open (or escalate) to arbitration.
-		c.workerDoneLocked(up.Worker, elapsed)
-		if ast == nil {
-			ast = &auditState{task: st.task, original: j.doneBy[tid]}
-			j.audits[tid] = ast
-			c.metrics.auditsOpened.Inc()
-		}
-		ast.phase = arbPending
-		ast.auditor = ""
-		ast.second = up.Worker
-		ast.secondVals = vals
-		ast.relaxAt = now.Add(c.opts.leaseTTL())
-		ast.giveUpAt = now.Add(4 * c.opts.leaseTTL())
-		c.logf("grid: job %s: task %s AUDIT MISMATCH: %q disagrees with recorded value from %q, arbitrating",
-			j.id, tid, up.Worker, ast.original)
-		c.broadcastLocked(j)
-		return ResultAck{Accepted: true, Duplicate: true}, nil
-	}
-
-	if up.Worker == ast.second {
+	if ast != nil && up.Worker == ast.second {
 		// The dissenter repeating itself adds no information.
 		c.metrics.duplicates.Inc()
 		c.touchWorkerLocked(up.Worker)
-		return ResultAck{Accepted: true, Duplicate: true}, nil
+		return dup, nil
 	}
+	dissent := up.Values
+	rec.T, rec.Values = walDissent, &dissent
+	switch {
+	case ast == nil || ast.second == "":
+		// First dissent: open (or escalate) to arbitration.
+		if ast == nil {
+			c.metrics.auditsOpened.Inc()
+		}
+		c.record(j, rec, nil)
+		c.logf("grid: job %s: task %s AUDIT MISMATCH: %q disagrees with recorded value from %q, arbitrating",
+			j.id, tid, up.Worker, j.audits[tid].original)
+		c.broadcastLocked(j)
+		return dup, nil
 
-	if equalValues(vals, ast.secondVals) {
+	case equalValues(vals, ast.secondVals):
 		// Two workers agree on a value that contradicts the record:
 		// the recorded producer lied. Fix the record (synchronously —
 		// quarantine verdicts are rare enough to fsync under the
 		// lock), then quarantine.
-		c.workerDoneLocked(up.Worker, elapsed)
 		liar := ast.original
-		j.results[tid] = vals
-		j.doneBy[tid] = ast.second
-		if j.cp != nil {
-			if err := j.cp.Record(st.task, vals, elapsed); err != nil {
-				c.logf("grid: job %s: task %s corrected value failed to journal: %v", j.id, tid, err)
-			}
+		if err := journal(j.cp, st.task, vals, time.Duration(up.ElapsedMS)*time.Millisecond); err != nil {
+			c.logf("grid: job %s: task %s corrected value failed to journal: %v", j.id, tid, err)
 		}
-		c.markVerifiedLocked(j, st.task, up.Worker)
-		after := c.quarantineLocked(liar, "audit of task "+tid+" overruled its value")
-		return ResultAck{Accepted: true}, after
-	}
+		c.record(j, rec, nil)
+		c.verifiedLocked(j, st.task)
+		return ResultAck{Accepted: true}, c.quarantineLocked(liar, "audit of task "+tid+" overruled its value")
 
-	// Three distinct values for one deterministic task: the
-	// determinism contract is broken (or two liars collide). Re-run.
-	c.workerDoneLocked(up.Worker, elapsed)
-	c.logf("grid: job %s: task %s has THREE distinct claimed values (%q, %q, %q) — determinism violation, re-queueing",
-		j.id, tid, ast.original, ast.second, up.Worker)
-	c.invalidateTaskLocked(j, tid)
-	delete(j.audits, tid)
-	c.broadcastLocked(j)
-	return ResultAck{Accepted: true, Duplicate: true}, nil
+	default:
+		// Three distinct values for one deterministic task: the
+		// determinism contract is broken (or two liars collide). Re-run.
+		c.logf("grid: job %s: task %s has THREE distinct claimed values (%q, %q, %q) — determinism violation, re-queueing",
+			j.id, tid, ast.original, ast.second, up.Worker)
+		c.record(j, rec, nil)
+		c.expungeLocked(j, st.task)
+		c.broadcastLocked(j)
+		return dup, nil
+	}
 }
 
-// markVerifiedLocked settles a task's audit as confirmed: the verify
-// record hits the WAL (fsynced — a verdict must not be re-litigated
-// after a power loss), the deferred cache feed happens, and completion
-// is re-checked.
-func (c *Coordinator) markVerifiedLocked(j *gridJob, t job.Task, by string) {
-	tid := t.ID()
-	if j.verified[tid] {
-		return
-	}
-	j.verified[tid] = true
-	delete(j.audits, tid)
-	delete(j.tainted, tid)
+// verifiedLocked follows a verdict that confirmed a task's record: the
+// deferred cache feed happens and completion is re-checked.
+func (c *Coordinator) verifiedLocked(j *gridJob, t job.Task) {
 	c.metrics.auditsPassed.Inc()
-	c.walAppendLocked(true, walRecord{T: walVerify, Job: j.id, Task: tid, Worker: by})
-	c.feedCacheLocked(j, t, j.results[tid])
+	c.feedCacheLocked(j, t, j.results[t.ID()])
 	c.finishIfCompleteLocked(j)
 	c.broadcastLocked(j)
 }
 
-// invalidateTaskLocked drops a done task's recorded value and
-// re-queues it. The on-disk result file is removed first (one unlink +
-// dir sync — cheap enough for this rare path to run under the lock),
-// so a crash in between re-runs the task instead of resurrecting the
-// dropped value. Batch invalidations (quarantine) use the deferred
-// path instead.
-func (c *Coordinator) invalidateTaskLocked(j *gridJob, tid string) {
-	st, ok := j.tasks[tid]
-	if !ok || st.status != taskDone {
+// expungeLocked removes an invalidated task's result file (one unlink
+// + dir sync — cheap enough for these rare paths to run under the
+// lock), so a restart re-runs the task instead of resurrecting the
+// dropped value.
+func (c *Coordinator) expungeLocked(j *gridJob, t job.Task) {
+	c.metrics.invalidated.Inc()
+	if j.cp == nil {
 		return
 	}
-	if j.cp != nil {
-		if err := j.cp.Invalidate(st.task); err != nil {
-			c.logf("grid: job %s: task %s invalidation: %v", j.id, tid, err)
-		}
+	if err := j.cp.Invalidate(t); err != nil {
+		c.logf("grid: job %s: task %s invalidation: %v", j.id, t.ID(), err)
 	}
-	st.status = taskPending
-	st.worker = ""
-	j.done--
-	delete(j.results, tid)
-	delete(j.doneBy, tid)
-	delete(j.verified, tid)
-	j.tainted[tid] = true
-	j.scores, j.scoresErr = nil, nil
-	c.metrics.invalidated.Inc()
 }
 
 // quarantineLocked bans a worker and expunges its unaudited work:
 // leases revoked, every done-but-unverified task it produced is
-// invalidated (result files deleted in the returned func, which the
-// caller runs after releasing the lock) and re-queued. Verified tasks
-// survive — a second worker vouched for them.
+// re-queued, its result file deleted in the returned func, which the
+// caller runs after releasing the lock. Verified tasks survive — a
+// second worker vouched for them.
 func (c *Coordinator) quarantineLocked(name, reason string) func() {
 	if name == "" || c.quarantined[name] {
 		return nil
 	}
-	c.quarantined[name] = true
-	c.metrics.quarantines.Inc()
-	c.walAppendLocked(true, walRecord{T: walQuarantine, Worker: name})
-	c.logf("grid: worker %s QUARANTINED: %s", name, reason)
-
 	type inval struct {
 		j  *gridJob
 		st *taskState
 	}
 	var invals []inval
 	for _, j := range c.jobs {
-		revoked := 0
-		for _, st := range j.tasks {
-			if st.status == taskLeased && st.worker == name {
-				st.status = taskPending
-				st.worker = ""
-				j.requeues++
-				revoked++
-			}
-			if st.hedgeWorker == name {
-				st.hedgeWorker = ""
-				st.hedgeDeadline = time.Time{}
-			}
-		}
-		if revoked > 0 {
-			c.metrics.requeues.Add(float64(revoked))
-		}
-		for _, ast := range j.audits {
-			// Audits the liar was computing go back to the pool; a
-			// dispute the liar raised dissolves (its claim is void).
-			if ast.auditor == name {
-				ast.auditor = ""
-				if ast.phase == auditLeased {
-					ast.phase = auditPending
-				} else if ast.phase == arbLeased {
-					ast.phase = arbPending
-				}
-			}
-			if ast.second == name {
-				ast.second = ""
-				ast.secondVals = nil
-				ast.giveUpAt = time.Time{}
-				if ast.phase == arbPending || ast.phase == arbLeased {
-					ast.phase = auditPending
-					ast.auditor = ""
-				}
-			}
-		}
 		for tid, by := range j.doneBy {
-			if by != name || j.verified[tid] {
-				continue
+			if by == name && !j.verified[tid] {
+				invals = append(invals, inval{j: j, st: j.tasks[tid]})
 			}
-			st := j.tasks[tid]
-			if st == nil || st.status != taskDone || st.recording {
-				continue
-			}
-			// Claim the task like an in-flight ingest so nothing races
-			// the unlocked file deletion.
-			st.recording = true
-			delete(j.audits, tid)
-			invals = append(invals, inval{j: j, st: st})
 		}
+	}
+	r := walRecord{T: walQuarantine, Worker: name}
+	c.record(nil, r, nil)
+	revoked := 0
+	for _, j := range c.jobs {
+		before := j.requeues
+		c.apply(j, r, nil)
+		revoked += j.requeues - before
 		c.broadcastLocked(j)
 	}
-
+	c.metrics.quarantines.Inc()
+	c.metrics.requeues.Add(float64(revoked))
+	c.logf("grid: worker %s QUARANTINED: %s", name, reason)
+	c.checkDrainedLocked()
 	if len(invals) == 0 {
-		return func() {}
+		return nil
+	}
+	// The re-queued tasks stay claimed until their files are gone, so
+	// no re-run's fresh result can be deleted by the expunge.
+	for _, iv := range invals {
+		iv.st.recording = true
 	}
 	return func() {
-		// Disk first: once the result files are gone, a crash anywhere
-		// below re-runs the tasks instead of resurrecting the lies.
 		for _, iv := range invals {
 			if iv.j.cp != nil {
 				if err := iv.j.cp.Invalidate(iv.st.task); err != nil {
@@ -429,20 +324,8 @@ func (c *Coordinator) quarantineLocked(name, reason string) func() {
 		defer c.mu.Unlock()
 		byJob := map[*gridJob]int{}
 		for _, iv := range invals {
-			j, st := iv.j, iv.st
-			tid := st.task.ID()
-			st.recording = false
-			if st.status != taskDone {
-				continue
-			}
-			st.status = taskPending
-			st.worker = ""
-			j.done--
-			delete(j.results, tid)
-			delete(j.doneBy, tid)
-			j.tainted[tid] = true
-			j.scores, j.scoresErr = nil, nil
-			byJob[j]++
+			iv.st.recording = false
+			byJob[iv.j]++
 		}
 		for j, n := range byJob {
 			c.metrics.invalidated.Add(float64(n))

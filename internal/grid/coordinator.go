@@ -173,6 +173,9 @@ const (
 	taskDone
 )
 
+// taskState and gridJob hold the scheduling state that apply (wal.go)
+// alone changes: status, holders and hedges, the grant and requeue
+// counts, weight, producers, verdicts and audits.
 type taskState struct {
 	task      job.Task
 	status    taskStatus
@@ -217,8 +220,7 @@ type gridJob struct {
 	cacheServed   int
 
 	// Audit bookkeeping (audit.go). doneBy is maintained regardless of
-	// AuditRate — it is what the WAL replays and what a later
-	// quarantine sweeps.
+	// AuditRate — a later quarantine sweeps it.
 	doneBy   map[string]string      // task ID -> worker whose value is on record
 	verified map[string]bool        // task ID -> audit-confirmed
 	audits   map[string]*auditState // open audits, gate job completion
@@ -260,7 +262,22 @@ func NewCoordinator(opts CoordinatorOptions) *Coordinator {
 			c.logf("grid: WAL unavailable, coordinator runs WITHOUT crash recovery: %v", err)
 		} else {
 			c.wal = w
-			c.replayWAL(recs)
+			for _, r := range recs {
+				c.apply(nil, r, nil)
+				switch {
+				case r.T == walQuarantine:
+					// A verdict reaches every job journalled before it;
+					// later jobs' records cannot involve the worker.
+					for id := range c.walRecs {
+						c.walRecs[id] = append(c.walRecs[id], r)
+					}
+				case r.Job != "":
+					c.walRecs[r.Job] = append(c.walRecs[r.Job], r)
+				}
+			}
+			if n := len(c.quarantined); n > 0 {
+				c.metrics.quarantines.Add(float64(n))
+			}
 			if len(recs) > 0 || skipped > 0 {
 				c.logf("grid: wal: replayed %d records (%d corrupt lines skipped)", len(recs), skipped)
 			}
@@ -270,115 +287,43 @@ func NewCoordinator(opts CoordinatorOptions) *Coordinator {
 	return c
 }
 
-// replayWAL applies the global (worker-level) effect of every record
-// at construction time and stashes job-level records for AddJob to
-// consume when the matching job registers. Runs before the coordinator
-// is published, so no lock is needed (the *Locked helpers it calls
-// only assert state, not the mutex).
-func (c *Coordinator) replayWAL(recs []walRecord) {
-	for _, r := range recs {
-		switch r.T {
-		case walQuarantine:
-			c.quarantined[r.Worker] = true
-			continue
-		case walLease:
-			if ws := c.touchWorkerLocked(r.Worker); ws != nil {
-				ws.leased++
-			}
-		case walExpire:
-			c.workerFailedLocked(r.Worker)
-		case walIngest, walVerify:
-			c.workerDoneLocked(r.Worker, time.Duration(r.ElapsedMS)*time.Millisecond)
-		case walHedge:
-			// Informational: hedges re-arm live if still warranted.
-			continue
-		}
-		if r.Job != "" {
-			c.walRecs[r.Job] = append(c.walRecs[r.Job], r)
-		}
-	}
-	if n := len(c.quarantined); n > 0 {
-		c.metrics.quarantines.Add(float64(n))
-	}
-}
-
-// walAppendLocked journals records, logging (never failing the caller)
-// on write trouble: the WAL losing a record degrades a future restart,
-// not the current run. sync is reserved for verdict-grade records.
-func (c *Coordinator) walAppendLocked(sync bool, recs ...walRecord) {
-	if c.wal == nil || len(recs) == 0 {
-		return
-	}
-	if err := c.wal.append(sync, recs...); err != nil {
-		c.logf("grid: %v", err)
-		return
-	}
-	c.metrics.walRecords.Add(float64(len(recs)))
-}
-
-// applyWALLocked replays j's stashed WAL records onto its freshly
-// restored task table: checkpoint restore has already marked done
-// tasks (values are the checkpoint's job), so this pass rebuilds the
-// scheduler's view — outstanding leases (re-armed with a fresh TTL
-// from *this* coordinator's clock), fair-share deficits, requeue
-// counts, priority, producer attribution and audit verdicts.
-func (c *Coordinator) applyWALLocked(j *gridJob) {
+// replayLocked rebuilds a registering job from its checkpoint dir: the
+// job's journalled events through apply in log order (ingested values
+// come from the checkpoint), then the checkpoint's verdict on every
+// task the journal disagrees with. Outstanding leases are re-armed
+// with a fresh TTL from this coordinator's clock.
+func (c *Coordinator) replayLocked(j *gridJob) {
+	completed := j.cp.Completed()
 	recs := c.walRecs[j.id]
-	if len(recs) == 0 {
-		return
-	}
 	delete(c.walRecs, j.id)
-	now := c.now()
-	deadline := now.Add(c.opts.leaseTTL())
 	for _, r := range recs {
-		st := j.tasks[r.Task]
-		switch r.T {
-		case walPriority:
-			if r.Weight >= 1 {
-				j.weight = r.Weight
-			}
-		case walLease:
-			j.leasesGranted++
-			if st != nil && st.status == taskPending && !c.quarantined[r.Worker] {
-				st.status = taskLeased
-				st.worker = r.Worker
-				st.leasedAt = now
-				st.deadline = deadline
-			}
-		case walExpire:
-			j.requeues++
-			if st != nil && st.status == taskLeased && st.worker == r.Worker {
-				st.status = taskPending
-				st.worker = ""
-			}
-		case walIngest:
-			if st == nil {
-				continue
-			}
-			if st.status == taskDone {
-				j.doneBy[r.Task] = r.Worker
-			} else if st.status == taskLeased && st.worker == r.Worker {
-				// The WAL saw the ingest but the checkpoint lost the
-				// value (should not happen: Record syncs first). The
-				// value is gone, so the task must re-run.
-				st.status = taskPending
-				st.worker = ""
-			}
-		case walVerify:
-			if st != nil && st.status == taskDone {
-				j.verified[r.Task] = true
-			}
+		c.apply(j, r, completed[r.Task])
+	}
+	for _, tid := range j.order {
+		st := j.tasks[tid]
+		vals, ok := completed[tid]
+		switch {
+		case st.status == taskDone && !ok:
+			// The journal saw a result the checkpoint lost: re-run it.
+			c.apply(j, walRecord{T: evInvalidate, Task: tid}, nil)
+		case st.status != taskDone && ok && j.tainted[tid]:
+			// A crash interrupted an expunge: finish it.
+			c.expungeLocked(j, st.task)
+		case st.status != taskDone && ok:
+			// Served from the cache, or recorded with no journalled ingest.
+			c.apply(j, walRecord{T: evRestore, Task: tid}, vals)
 		}
 	}
-	c.logf("grid: job %s: wal replay applied %d records (priority %d, %d leases outstanding re-armed)",
-		j.id, len(recs), j.weight, func() (n int) {
-			for _, st := range j.tasks {
-				if st.status == taskLeased {
-					n++
-				}
-			}
-			return
-		}())
+	// Values under audit feed the cache only once verified.
+	for tid, vals := range j.results {
+		if j.audits[tid] == nil {
+			c.feedCacheLocked(j, j.tasks[tid].task, vals)
+		}
+	}
+	if len(recs) > 0 {
+		c.logf("grid: job %s: wal replay applied %d records (priority %d, %d requeues, %d open audits)",
+			j.id, len(recs), j.weight, j.requeues, len(j.audits))
+	}
 }
 
 // Metrics exposes the coordinator's registry — what GET /metrics
@@ -445,8 +390,7 @@ func (c *Coordinator) AddJobPriority(spec job.Spec, priority int) (string, error
 	c.mu.Lock()
 	if j, ok := c.jobs[id]; ok {
 		if j.weight != priority {
-			j.weight = priority
-			c.walAppendLocked(false, walRecord{T: walPriority, Job: id, Weight: priority})
+			c.record(j, walRecord{T: walPriority, Job: id, Weight: priority}, nil)
 			c.mu.Unlock()
 			c.logf("grid: job %s priority set to %d", id, priority)
 			return id, nil
@@ -493,38 +437,7 @@ func (c *Coordinator) AddJobPriority(spec job.Spec, priority int) (string, error
 			return "", err
 		}
 		j.cp = cp
-		for tid, vals := range cp.Completed() {
-			st, ok := j.tasks[tid]
-			if !ok || st.status == taskDone {
-				continue
-			}
-			st.status = taskDone
-			j.results[tid] = vals
-			j.done++
-		}
-	}
-	// WAL replay must see the restored task table (it re-arms leases
-	// only on still-pending tasks) and must run before the cache feed
-	// (it supplies the verified set and producer attribution the feed
-	// policy consults).
-	c.applyWALLocked(j)
-	if c.opts.Dir != "" {
-		for tid, vals := range j.results {
-			st := j.tasks[tid]
-			if c.quarantined[j.doneBy[tid]] && !j.verified[tid] {
-				// A quarantine raced the crash: the on-disk expunge of
-				// this liar's results did not finish. Finish it.
-				c.invalidateTaskLocked(j, tid)
-				continue
-			}
-			if c.auditEnabled() && !j.verified[tid] && auditSelected(j.id, tid, c.opts.AuditRate) {
-				// Re-arm the audit instead of feeding the cache: with
-				// auditing on, selected values feed only once verified.
-				c.openAuditLocked(j, st.task, j.doneBy[tid])
-				continue
-			}
-			c.feedCacheLocked(j, st.task, vals)
-		}
+		c.replayLocked(j)
 	}
 	j.restored = j.done
 	// A restored job's own results never complete its own tasks, but
@@ -564,6 +477,7 @@ func (c *Coordinator) feedCacheLocked(j *gridJob, t job.Task, vals []float64) {
 // absorbedTask is one task whose values the cache fully supplied,
 // in flight between the locked scan and the locked finalize.
 type absorbedTask struct {
+	tid  string
 	st   *taskState
 	vals []float64
 }
@@ -603,7 +517,7 @@ func (c *Coordinator) collectCacheHitsLocked(j *gridJob) []absorbedTask {
 		}
 		if hit {
 			st.recording = true
-			hits = append(hits, absorbedTask{st: st, vals: vals})
+			hits = append(hits, absorbedTask{tid: tid, st: st, vals: vals})
 		}
 	}
 	return hits
@@ -626,18 +540,8 @@ func (c *Coordinator) absorbCache(j *gridJob) {
 	}
 
 	errs := make([]error, len(hits))
-	if j.cp != nil {
-		for i, h := range hits {
-			h := h
-			errs[i] = func() (err error) {
-				defer func() {
-					if r := recover(); r != nil {
-						err = fmt.Errorf("grid: task %s: checkpoint write panicked: %v", h.st.task.ID(), r)
-					}
-				}()
-				return j.cp.Record(h.st.task, h.vals, 0)
-			}()
-		}
+	for i, h := range hits {
+		errs[i] = journal(j.cp, h.st.task, h.vals, 0)
 	}
 
 	c.mu.Lock()
@@ -648,13 +552,10 @@ func (c *Coordinator) absorbCache(j *gridJob) {
 		if errs[i] != nil {
 			// Leave the task pending: a worker will compute and
 			// re-upload it, taking the normal ingest error path.
-			c.logf("grid: job %s: task %s cache absorption failed to journal: %v", j.id, h.st.task.ID(), errs[i])
+			c.logf("grid: job %s: task %s cache absorption failed to journal: %v", j.id, h.tid, errs[i])
 			continue
 		}
-		h.st.status = taskDone
-		h.st.worker = ""
-		j.results[h.st.task.ID()] = h.vals
-		j.done++
+		c.apply(j, walRecord{T: evAbsorb, Task: h.tid}, h.vals)
 		absorbed++
 	}
 	if absorbed > 0 {
@@ -665,6 +566,22 @@ func (c *Coordinator) absorbCache(j *gridJob) {
 		c.broadcastLocked(j)
 	}
 	c.checkDrainedLocked()
+}
+
+// journal records one finished task in its job's checkpoint (a no-op
+// without one). Callers run it outside the coordinator lock, so a
+// panicking write becomes an error: it must never leak the task's
+// recording claim and strand the task.
+func journal(cp *job.Checkpoint, t job.Task, vals []float64, elapsed time.Duration) (err error) {
+	if cp == nil {
+		return nil
+	}
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("grid: task %s: checkpoint write panicked: %v", t.ID(), r)
+		}
+	}()
+	return cp.Record(t, vals, elapsed)
 }
 
 // Close releases every job's checkpoint handle and the WAL.
@@ -707,12 +624,12 @@ func (c *Coordinator) getJob(id string) (*gridJob, error) {
 	return j, nil
 }
 
-// expireLocked requeues every lease whose deadline has passed, scoring
-// the expiry against the worker that went silent. A task with a live
-// hedge promotes the hedge to primary instead of re-queueing (the
-// expiry still counts). Expiry is lazy: it runs at the top of every
-// API call that looks at task state, which is the only time staleness
-// could matter (plus the drain loop's ticks).
+// expireLocked expires every lease whose deadline has passed, scoring
+// the expiry against the worker that went silent: the task re-queues,
+// or its live hedge is promoted to primary (the expiry still counts).
+// Expiry is lazy: it runs at the top of every API call that looks at
+// task state, which is the only time staleness could matter (plus the
+// drain loop's ticks).
 func (c *Coordinator) expireLocked(j *gridJob) {
 	now := c.now()
 	expired := 0
@@ -722,28 +639,12 @@ func (c *Coordinator) expireLocked(j *gridJob) {
 		}
 		// A dead hedge clears quietly: the primary still owns the task.
 		if st.hedgeWorker != "" && st.hedgeDeadline.Before(now) {
-			c.workerFailedLocked(st.hedgeWorker)
-			st.hedgeWorker = ""
-			st.hedgeDeadline = time.Time{}
+			c.record(j, walRecord{T: walExpire, Job: j.id, Task: tid, Worker: st.hedgeWorker}, nil)
 		}
-		if !st.deadline.Before(now) {
-			continue
+		if st.deadline.Before(now) {
+			c.record(j, walRecord{T: walExpire, Job: j.id, Task: tid, Worker: st.worker}, nil)
+			expired++
 		}
-		c.workerFailedLocked(st.worker)
-		c.walAppendLocked(false, walRecord{T: walExpire, Job: j.id, Task: tid, Worker: st.worker})
-		j.requeues++
-		expired++
-		if st.hedgeWorker != "" {
-			// Promote the live hedge: the task never goes back in the
-			// queue, the racer simply becomes the owner.
-			st.worker, st.deadline = st.hedgeWorker, st.hedgeDeadline
-			st.hedgeWorker, st.hedgeDeadline = "", time.Time{}
-			j.leasesGranted++
-			c.walAppendLocked(false, walRecord{T: walLease, Job: j.id, Task: tid, Worker: st.worker})
-			continue
-		}
-		st.status = taskPending
-		st.worker = ""
 	}
 	c.auditExpireLocked(j, now)
 	if expired > 0 {
@@ -789,47 +690,36 @@ func (c *Coordinator) grantLocked(j *gridJob, worker string, max int) []LeaseTas
 	}
 	max = c.grantCapLocked(worker, max)
 	ttl := c.opts.leaseTTL()
-	now := c.now()
-	deadline := now.Add(ttl)
-	tasks := c.grantAuditsLocked(j, worker, max, now, deadline)
-	granted := len(tasks) // audit + pending grants: what the deficit counts
+	tasks := c.grantAuditsLocked(j, worker, max, ttl)
 	for _, tid := range j.order {
 		if len(tasks) == max {
 			break
 		}
-		st := j.tasks[tid]
-		if st.status != taskPending {
-			continue
+		// A recording task is settling (an upload journalling, or an
+		// expunge deleting its file): it is not free yet.
+		if st := j.tasks[tid]; st.status == taskPending && !st.recording {
+			c.record(j, walRecord{T: walLease, Job: j.id, Task: tid, Worker: worker}, nil)
+			tasks = append(tasks, leaseTask(tid, st.task, ttl))
 		}
-		st.status = taskLeased
-		st.worker = worker
-		st.deadline = deadline
-		st.leasedAt = now
-		tasks = append(tasks, LeaseTask{
-			Task: tid, Measure: st.task.Measure, Lo: st.task.Lo, Hi: st.task.Hi,
-			TTLMS: ttl.Milliseconds(),
-		})
-		granted++
-		c.walAppendLocked(false, walRecord{T: walLease, Job: j.id, Task: tid, Worker: worker})
 	}
+	granted := len(tasks) // audit + pending grants: what the deficit counts
 	if c.opts.Hedge && len(tasks) < max {
-		tasks = append(tasks, c.grantHedgesLocked(j, worker, max-len(tasks), now, deadline)...)
+		tasks = append(tasks, c.grantHedgesLocked(j, worker, max-len(tasks), ttl)...)
 	}
 	if len(tasks) > 0 {
-		if j.startedAt.IsZero() {
-			j.startedAt = now
-		}
-		j.leasesGranted += granted
 		c.metrics.leasesGranted.Add(float64(granted))
-		if ws := c.touchWorkerLocked(worker); ws != nil {
-			ws.leased += len(tasks)
-		}
 		c.broadcastLocked(j)
-	} else if worker != "" {
+	} else {
 		// An empty grant is still a sign of life.
 		c.touchWorkerLocked(worker)
 	}
 	return tasks
+}
+
+// leaseTask is the wire form of one grant, whatever kind: a primary,
+// hedge and audit lease look the same to the worker holding them.
+func leaseTask(tid string, t job.Task, ttl time.Duration) LeaseTask {
+	return LeaseTask{Task: tid, Measure: t.Measure, Lo: t.Lo, Hi: t.Hi, TTLMS: ttl.Milliseconds()}
 }
 
 // Lease grants up to max pending tasks of one job to worker. While the
@@ -993,7 +883,7 @@ func (c *Coordinator) Ingest(ctx context.Context, id string, up ResultUpload) (R
 		return ResultAck{}, fmt.Errorf("grid: task %s upload has %d values, want %d",
 			up.Task, len(up.Values), st.task.Hi-st.task.Lo)
 	}
-	if st.status == taskDone && c.auditEnabled() && !st.recording {
+	if st.status == taskDone && c.auditEnabled() {
 		// Under the audit regime a second upload for a done task is
 		// evidence, not noise: it either verifies the record or opens a
 		// dispute. Any checkpoint invalidations run after unlock.
@@ -1018,20 +908,7 @@ func (c *Coordinator) Ingest(ctx context.Context, id string, up ResultUpload) (R
 	cp, task := j.cp, st.task
 	c.mu.Unlock()
 
-	// The journalling runs unlocked; recover any panic so a wedged
-	// write can never leak recording=true and permanently strand the
-	// task (the handler would otherwise swallow the panic).
-	recErr := func() (err error) {
-		defer func() {
-			if r := recover(); r != nil {
-				err = fmt.Errorf("grid: task %s: checkpoint write panicked: %v", task.ID(), r)
-			}
-		}()
-		if cp == nil {
-			return nil
-		}
-		return cp.Record(task, up.Values, time.Duration(up.ElapsedMS)*time.Millisecond)
-	}()
+	recErr := journal(cp, task, up.Values, time.Duration(up.ElapsedMS)*time.Millisecond)
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -1040,37 +917,17 @@ func (c *Coordinator) Ingest(ctx context.Context, id string, up ResultUpload) (R
 		c.checkDrainedLocked()
 		return ResultAck{}, recErr
 	}
-	st.status = taskDone
-	if st.hedgeWorker != "" {
-		// The losing racer's lease dissolves without a verdict: its
-		// leased count drops, but no failure is scored — it was asked
-		// to race and simply lost.
-		loser := st.hedgeWorker
-		if up.Worker == loser {
-			loser = st.worker
-		}
-		if ws := c.workers[loser]; ws != nil && ws.leased > 0 {
-			ws.leased--
-		}
-		st.hedgeWorker, st.hedgeDeadline = "", time.Time{}
-	}
-	st.worker = ""
-	j.results[up.Task] = []float64(up.Values)
-	j.doneBy[up.Task] = up.Worker
-	j.done++
-	c.workerDoneLocked(up.Worker, time.Duration(up.ElapsedMS)*time.Millisecond)
-	c.walAppendLocked(false, walRecord{T: walIngest, Job: j.id, Task: up.Task, Worker: up.Worker, ElapsedMS: up.ElapsedMS})
+	c.record(j, walRecord{T: walIngest, Job: j.id, Task: up.Task, Worker: up.Worker, ElapsedMS: up.ElapsedMS}, up.Values)
 	c.metrics.tasksIngested.Inc()
 	c.metrics.valuesIngested.Add(float64(len(up.Values)))
 	if leaseLatency > 0 {
 		c.metrics.leaseLatency.Observe(leaseLatency.Seconds())
 	}
-	if c.auditEnabled() && up.Worker != "" && auditSelected(j.id, up.Task, c.opts.AuditRate) {
+	if j.audits[up.Task] != nil {
 		// Selected tasks feed the cache only once audit-verified.
-		c.openAuditLocked(j, st.task, up.Worker)
+		c.metrics.auditsOpened.Inc()
 	} else {
-		delete(j.tainted, up.Task)
-		c.feedCacheLocked(j, st.task, []float64(up.Values))
+		c.feedCacheLocked(j, st.task, up.Values)
 	}
 	c.finishIfCompleteLocked(j)
 	c.broadcastLocked(j)
@@ -1093,16 +950,10 @@ func (c *Coordinator) Drain(ctx context.Context) {
 		return
 	}
 	c.draining = true
-	inflight := 0
 	for _, j := range c.jobs {
-		for _, st := range j.tasks {
-			if st.status == taskLeased || st.recording {
-				inflight++
-			}
-		}
 		c.broadcastLocked(j)
 	}
-	c.logfCtx(ctx, "grid: draining: no new leases; %d in-flight tasks to settle", inflight)
+	c.logfCtx(ctx, "grid: draining: no new leases; %d in-flight tasks to settle", c.inflightLocked())
 	c.checkDrainedLocked()
 	c.mu.Unlock()
 	go c.drainLoop()
@@ -1122,19 +973,25 @@ func (c *Coordinator) Drained() <-chan struct{} { return c.drainDone }
 // checkDrainedLocked closes the drain-complete channel once draining
 // and nothing is in flight anywhere.
 func (c *Coordinator) checkDrainedLocked() {
-	if !c.draining || c.drainClosed {
+	if !c.draining || c.drainClosed || c.inflightLocked() > 0 {
 		return
-	}
-	for _, j := range c.jobs {
-		for _, st := range j.tasks {
-			if st.status == taskLeased || st.recording {
-				return
-			}
-		}
 	}
 	c.drainClosed = true
 	close(c.drainDone)
 	c.logf("grid: drained: all in-flight work settled")
+}
+
+// inflightLocked counts tasks on lease or journalling a result.
+func (c *Coordinator) inflightLocked() int {
+	n := 0
+	for _, j := range c.jobs {
+		for _, st := range j.tasks {
+			if st.status == taskLeased || st.recording {
+				n++
+			}
+		}
+	}
+	return n
 }
 
 // drainLoop ticks lease expiry while draining, so the drain completes
@@ -1438,14 +1295,7 @@ func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
 func (c *Coordinator) handleDrain(w http.ResponseWriter, r *http.Request) {
 	c.Drain(r.Context())
 	c.mu.Lock()
-	inflight := 0
-	for _, j := range c.jobs {
-		for _, st := range j.tasks {
-			if st.status == taskLeased || st.recording {
-				inflight++
-			}
-		}
-	}
+	inflight := c.inflightLocked()
 	c.mu.Unlock()
 	writeJSON(w, http.StatusOK, DrainResponse{Draining: true, InFlight: inflight})
 }

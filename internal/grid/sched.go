@@ -81,9 +81,6 @@ func (c *Coordinator) workerDoneLocked(name string, elapsed time.Duration) {
 		return
 	}
 	ws.done++
-	if ws.leased > 0 {
-		ws.leased--
-	}
 	ws.failEWMA *= 1 - ewmaAlpha
 	if elapsed > 0 {
 		obs := elapsed.Seconds()
@@ -107,9 +104,6 @@ func (c *Coordinator) workerFailedLocked(name string) {
 		return
 	}
 	ws.failures++
-	if ws.leased > 0 {
-		ws.leased--
-	}
 	ws.failEWMA = (1-ewmaAlpha)*ws.failEWMA + ewmaAlpha
 }
 
@@ -125,20 +119,26 @@ func (c *Coordinator) grantCapLocked(name string, max int) int {
 	if grant < 1 {
 		grant = 1
 	}
-	// Latency shaping needs a fleet to compare against: the mean task
-	// latency over workers that have completed anything.
-	var sum float64
-	var n int
-	for _, other := range c.workers {
-		if other.done > 0 && other.latEWMA > 0 {
-			sum += other.latEWMA
-			n++
-		}
-	}
-	if n > 1 && ws.latEWMA > 0 && ws.latEWMA > slowFactor*(sum/float64(n)) && grant > 1 {
+	// Latency shaping needs a fleet to compare against.
+	if mean, n := c.fleetLatencyLocked(); n > 1 && ws.latEWMA > 0 && ws.latEWMA > slowFactor*mean && grant > 1 {
 		grant = (grant + 1) / 2
 	}
 	return grant
+}
+
+// fleetLatencyLocked is the mean task-latency EWMA (seconds) over the
+// n workers that have completed anything.
+func (c *Coordinator) fleetLatencyLocked() (mean float64, n int) {
+	for _, ws := range c.workers {
+		if ws.done > 0 && ws.latEWMA > 0 {
+			mean += ws.latEWMA
+			n++
+		}
+	}
+	if n > 0 {
+		mean /= float64(n)
+	}
+	return mean, n
 }
 
 // liveWorkersLocked counts workers heard from within livenessTTLs
@@ -190,18 +190,8 @@ func (c *Coordinator) pickJobLocked() *gridJob {
 // hedge everything the moment it goes idle.
 func (c *Coordinator) hedgeThresholdLocked() time.Duration {
 	floor := c.opts.leaseTTL() / 2
-	var sum float64
-	var n int
-	for _, ws := range c.workers {
-		if ws.done > 0 && ws.latEWMA > 0 {
-			sum += ws.latEWMA
-			n++
-		}
-	}
-	if n == 0 {
-		return floor
-	}
-	th := time.Duration(slowFactor * sum / float64(n) * float64(time.Second))
+	mean, _ := c.fleetLatencyLocked()
+	th := time.Duration(slowFactor * mean * float64(time.Second))
 	if th < floor {
 		return floor
 	}
@@ -230,10 +220,11 @@ func (c *Coordinator) hedgeableLocked(j *gridJob, now time.Time) bool {
 // upload is absorbed as a duplicate (or as audit evidence). Hedges are
 // deliberately excluded from the fair-share deficit — they are
 // insurance the scheduler buys, not demand the job generated.
-func (c *Coordinator) grantHedgesLocked(j *gridJob, worker string, room int, now, deadline time.Time) []LeaseTask {
+func (c *Coordinator) grantHedgesLocked(j *gridJob, worker string, room int, ttl time.Duration) []LeaseTask {
 	if worker == "" || room <= 0 {
 		return nil
 	}
+	now := c.now()
 	th := c.hedgeThresholdLocked()
 	var out []LeaseTask
 	for _, tid := range j.order {
@@ -245,14 +236,9 @@ func (c *Coordinator) grantHedgesLocked(j *gridJob, worker string, room int, now
 			st.leasedAt.IsZero() || now.Sub(st.leasedAt) < th {
 			continue
 		}
-		st.hedgeWorker = worker
-		st.hedgeDeadline = deadline
-		out = append(out, LeaseTask{
-			Task: tid, Measure: st.task.Measure, Lo: st.task.Lo, Hi: st.task.Hi,
-			TTLMS: deadline.Sub(now).Milliseconds(),
-		})
+		c.record(j, walRecord{T: walHedge, Job: j.id, Task: tid, Worker: worker}, nil)
+		out = append(out, leaseTask(tid, st.task, ttl))
 		c.metrics.leaseHedged.Inc()
-		c.walAppendLocked(false, walRecord{T: walHedge, Job: j.id, Task: tid, Worker: worker})
 	}
 	return out
 }
