@@ -22,8 +22,8 @@
 // directory (the merged manifests of one or more shard processes)
 // instead of a CSV; merge additionally writes the assembled scores to
 // the domain's CSV for downstream tooling. To merge shards that ran on
-// separate machines, copy every shard dir's manifest-*.jsonl and
-// task-*.json next to one spec.json first.
+// separate machines, copy every shard dir's manifest-*.jsonl next to
+// one spec.json first.
 //
 // -coordinator fetches the assembled scores live from a dsa-grid
 // coordinator's results API instead of any local file — no copying at

@@ -9,9 +9,10 @@ import (
 	"syscall"
 )
 
-// FileFaults injects write failures into the checkpoint/WAL writer
-// seam (job.SetWriterSeam). Two fault kinds model the ways durable
-// appends really fail:
+// FileFaults injects write failures into the job writer seam
+// (job.SetWriterSeam), which every job.RecordLog append (checkpoint
+// manifests, the grid WAL) and the atomic spec.json write go through.
+// Two fault kinds model the ways durable appends really fail:
 //
 //	short — the write persists only half its bytes and reports
 //	        io.ErrShortWrite (a torn append);

@@ -10,7 +10,7 @@ import (
 // JSONFloats is []float64 that survives JSON. encoding/json rejects
 // NaN and ±Inf, but a domain's ScoreSlice may legitimately produce
 // them (a diverging measure, a 0/0 ratio), so every JSON surface that
-// carries score vectors — checkpoint result files (internal/job) and
+// carries score vectors — checkpoint manifest records (internal/job) and
 // the grid wire (internal/grid) — encodes non-finite values as the
 // same canonical tokens the CSV codec uses: "NaN", "+Inf", "-Inf".
 type JSONFloats []float64

@@ -256,10 +256,10 @@ func (c *Coordinator) verifiedLocked(j *gridJob, t job.Task) {
 	c.broadcastLocked(j)
 }
 
-// expungeLocked removes an invalidated task's result file (one unlink
-// + dir sync — cheap enough for these rare paths to run under the
-// lock), so a restart re-runs the task instead of resurrecting the
-// dropped value.
+// expungeLocked appends an invalidated task's tombstone to the
+// checkpoint (one synced append — cheap enough for these rare paths to
+// run under the lock), so a restart re-runs the task instead of
+// resurrecting the dropped value.
 func (c *Coordinator) expungeLocked(j *gridJob, t job.Task) {
 	c.metrics.invalidated.Inc()
 	if j.cp == nil {
@@ -272,7 +272,7 @@ func (c *Coordinator) expungeLocked(j *gridJob, t job.Task) {
 
 // quarantineLocked bans a worker and expunges its unaudited work:
 // leases revoked, every done-but-unverified task it produced is
-// re-queued, its result file deleted in the returned func, which the
+// re-queued, its tombstone written in the returned func, which the
 // caller runs after releasing the lock. Verified tasks survive — a
 // second worker vouched for them.
 func (c *Coordinator) quarantineLocked(name, reason string) func() {
@@ -307,8 +307,9 @@ func (c *Coordinator) quarantineLocked(name, reason string) func() {
 	if len(invals) == 0 {
 		return nil
 	}
-	// The re-queued tasks stay claimed until their files are gone, so
-	// no re-run's fresh result can be deleted by the expunge.
+	// The re-queued tasks stay claimed until their tombstones are
+	// written, so no re-run's fresh record lands before the tombstone
+	// that would void it.
 	for _, iv := range invals {
 		iv.st.recording = true
 	}

@@ -23,8 +23,9 @@
 // function of the spec and the task identity, so any two honest
 // computations of one task agree byte-for-byte. Result ingest is
 // therefore idempotent — the first upload wins, is journalled through
-// the internal/job checkpoint format (atomic result file + synced
-// manifest line), and later duplicates are acknowledged and dropped.
+// the internal/job checkpoint format (one synced manifest record
+// carrying the values), and later duplicates are acknowledged and
+// dropped.
 // A grid checkpoint directory is interchangeable with a local one:
 // job.Load, dsa-report and a local -resume all read it.
 //
@@ -177,7 +178,7 @@ type HeartbeatResponse struct {
 // WireFloats is []float64 that survives JSON: non-finite values,
 // which encoding/json rejects but a domain may legitimately produce,
 // use the shared canonical tokens (see dsa.JSONFloats — the same
-// codec the checkpoint result files use, so grid and local runs agree
+// codec the checkpoint manifest records use, so grid and local runs agree
 // byte-for-byte on disk too).
 type WireFloats = dsa.JSONFloats
 

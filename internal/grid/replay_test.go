@@ -383,6 +383,42 @@ func TestReplayEqualsLiveAfterOverrule(t *testing.T) {
 	}
 }
 
+// TestOverruleLeavesCorrectedCheckpoint: after an audit overrule the
+// job's checkpoint holds only the corrected task, with the honest
+// values; the liar's other, unaudited task is expunged on disk.
+func TestOverruleLeavesCorrectedCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	spec := auditSpec(t, 2)
+	coord := NewCoordinator(CoordinatorOptions{Dir: dir, LeaseTTL: time.Minute, AuditRate: 1})
+	id, err := coord.AddJob(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lease := mustLease(t, coord, id, "liar", 2)
+	for _, lt := range lease.Tasks {
+		mustIngest(t, coord, id, "liar", lt, lyingVals(lt))
+	}
+	lt := leaseOne(t, coord, id, "good1")
+	mustIngest(t, coord, id, "good1", lt, honestVals(lt))
+	if got := leaseOne(t, coord, id, "good2"); got.Task != lt.Task {
+		t.Fatalf("good2 leased %s, want the disputed %s", got.Task, lt.Task)
+	}
+	mustIngest(t, coord, id, "good2", lt, honestVals(lt))
+	if err := coord.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	cp, err := job.OpenCheckpoint(filepath.Join(dir, id), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cp.Close()
+	done := cp.Completed()
+	if len(done) != 1 || !reflect.DeepEqual(done[lt.Task], honestVals(lt)) {
+		t.Fatalf("checkpoint after the overrule = %v, want only %s with %v", done, lt.Task, honestVals(lt))
+	}
+}
+
 // TestCoordinatorReplayMatchesLive is the model check: seeded random
 // public-API traffic — leases, heartbeats, honest, lying, late and
 // duplicate uploads, clock jumps past the TTL, quarantines and

@@ -1,14 +1,10 @@
 package grid
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
-	"hash/crc32"
-	"io"
 	"os"
 	"path/filepath"
-	"sync"
 	"time"
 
 	"repro/internal/dsa"
@@ -25,15 +21,14 @@ import (
 // checkpoint makes results durable, the WAL makes the *scheduler*
 // durable.
 //
-// Format: one JSON line per record, `{"crc":<ieee>,"rec":{...}}`, the
-// CRC32 taken over the raw rec bytes — the same torn-tail discipline
-// as the cache segment log. A record with a bad CRC is skipped; an
-// unterminated tail (torn final write) is truncated away on open so
-// appends always start on a clean line. Records are plain appends with
-// no fsync on the hot path: a kill -9 loses nothing that was write()n
-// (the page cache survives process death), and verdict-grade records
-// (quarantine, verify, dissent) are fsynced so they also survive power
-// loss.
+// Format: a job.RecordLog, the CRC-framed JSON-line log the checkpoint
+// manifests use too: one line per record, `{"crc":<ieee>,"rec":{...}}`.
+// A record with a bad CRC is skipped; an unterminated tail (torn final
+// write) is truncated away on open so appends always start on a clean
+// line. Records are plain appends with no fsync on the hot path: a
+// kill -9 loses nothing that was write()n (the page cache survives
+// process death), and verdict-grade records (quarantine, verify,
+// dissent) are fsynced so they also survive power loss.
 const walFileName = "coordinator.wal"
 
 // walRecord event types.
@@ -323,17 +318,8 @@ func (c *Coordinator) apply(j *gridJob, r walRecord, vals []float64) {
 	}
 }
 
-type walLine struct {
-	CRC uint32          `json:"crc"`
-	Rec json.RawMessage `json:"rec"`
-}
-
-type wal struct {
-	path string
-	mu   sync.Mutex
-	f    *os.File
-	off  int64 // durable end of the file
-}
+// wal is the coordinator's journal: a job.RecordLog of walRecords.
+type wal struct{ *job.RecordLog }
 
 // openWAL opens (creating if absent) dir's WAL, replays every intact
 // record, truncates any torn tail, and returns the handle positioned
@@ -343,92 +329,30 @@ func openWAL(dir string) (w *wal, recs []walRecord, skipped int, err error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, 0, fmt.Errorf("grid: wal dir: %w", err)
 	}
-	path := filepath.Join(dir, walFileName)
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
-	if err != nil {
-		return nil, nil, 0, fmt.Errorf("grid: open wal: %w", err)
-	}
-	data, err := io.ReadAll(f)
-	if err != nil {
-		f.Close()
-		return nil, nil, 0, fmt.Errorf("grid: read wal: %w", err)
-	}
-	var goodEnd int64
-	for off := 0; off < len(data); {
-		nl := bytes.IndexByte(data[off:], '\n')
-		if nl < 0 {
-			break // unterminated torn tail: truncated below
-		}
-		line := data[off : off+nl]
-		off += nl + 1
-		goodEnd = int64(off)
-		var l walLine
+	log, skipped, err := job.OpenRecordLog(filepath.Join(dir, walFileName), "wal", func(raw []byte) bool {
 		var rec walRecord
-		if json.Unmarshal(line, &l) != nil ||
-			crc32.ChecksumIEEE(l.Rec) != l.CRC ||
-			json.Unmarshal(l.Rec, &rec) != nil {
-			skipped++
-			continue
+		if json.Unmarshal(raw, &rec) != nil {
+			return false
 		}
 		recs = append(recs, rec)
+		return true
+	})
+	if err != nil {
+		return nil, nil, 0, err
 	}
-	if goodEnd < int64(len(data)) {
-		if err := f.Truncate(goodEnd); err != nil {
-			f.Close()
-			return nil, nil, 0, fmt.Errorf("grid: truncate torn wal tail: %w", err)
-		}
-	}
-	if _, err := f.Seek(goodEnd, io.SeekStart); err != nil {
-		f.Close()
-		return nil, nil, 0, fmt.Errorf("grid: seek wal: %w", err)
-	}
-	return &wal{path: path, f: f, off: goodEnd}, recs, skipped, nil
+	return &wal{log}, recs, skipped, nil
 }
 
 // append journals recs as one write (all-or-nothing for the batch up
 // to a torn tail, which replay tolerates). sync additionally fsyncs —
 // used for verdict-grade records (quarantine, verify) that must
 // survive power loss, not just kill -9. Write failures surface as
-// job.WriteError with path and offset, and the torn tail is trimmed so
-// the next append starts clean.
+// job.WriteError ("append wal", "sync wal") with path and offset, and
+// the torn tail is trimmed so the next append starts clean.
 func (w *wal) append(sync bool, recs ...walRecord) error {
-	var buf []byte
-	for _, r := range recs {
-		raw, err := json.Marshal(r)
-		if err != nil {
-			return fmt.Errorf("grid: wal encode: %w", err)
-		}
-		line, err := json.Marshal(walLine{CRC: crc32.ChecksumIEEE(raw), Rec: raw})
-		if err != nil {
-			return fmt.Errorf("grid: wal encode: %w", err)
-		}
-		buf = append(buf, line...)
-		buf = append(buf, '\n')
+	vs := make([]any, len(recs))
+	for i, r := range recs {
+		vs[i] = r
 	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	n, err := job.WrapWriter(w.path, w.f).Write(buf)
-	if err == nil && n < len(buf) {
-		err = io.ErrShortWrite
-	}
-	if err != nil {
-		werr := &job.WriteError{Path: w.path, Off: w.off + int64(n), Op: "append wal", Err: err}
-		if w.f.Truncate(w.off) == nil {
-			w.f.Seek(w.off, io.SeekStart)
-		}
-		return werr
-	}
-	w.off += int64(n)
-	if sync {
-		if err := w.f.Sync(); err != nil {
-			return &job.WriteError{Path: w.path, Off: w.off, Op: "sync wal", Err: err}
-		}
-	}
-	return nil
-}
-
-func (w *wal) Close() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.f.Close()
+	return w.Append(sync, vs...)
 }

@@ -10,6 +10,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -104,6 +105,59 @@ func TestWALRoundTrip(t *testing.T) {
 	defer w4.Close()
 	if len(recs) != len(want)+1 || skipped != 1 {
 		t.Fatalf("final reopen: %d records (%d skipped), want %d (1 skipped)", len(recs), skipped, len(want)+1)
+	}
+}
+
+// parentWAL is a journal written by the WAL encoder that predates
+// job.RecordLog, kept as a literal: it must replay unchanged, and
+// today's encoder must write the same bytes for the same records.
+const parentWAL = `{"crc":1331701573,"rec":{"t":"lease","job":"j1","task":"coverage-000000-000002","worker":"w\u003c\u0026\u003e1"}}
+{"crc":2194105630,"rec":{"t":"ingest","job":"j1","task":"coverage-000000-000002","worker":"w\u003c\u0026\u003e1","elapsed_ms":17}}
+{"crc":1554104399,"rec":{"t":"dissent","job":"j1","task":"coverage-000000-000002","worker":"v","elapsed_ms":3,"values":[0.1,"NaN","-Inf",1e+21]}}
+{"crc":1085526237,"rec":{"t":"priority","job":"j1","weight":3}}
+{"crc":759320426,"rec":{"t":"quarantine","worker":"w\u003c\u0026\u003e1"}}
+`
+
+// TestWALBytesUnchanged: an existing coordinator.wal replays record for
+// record, and re-encoding its records reproduces it byte for byte.
+func TestWALBytesUnchanged(t *testing.T) {
+	old := t.TempDir()
+	if err := os.WriteFile(filepath.Join(old, walFileName), []byte(parentWAL), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	w, recs, skipped, err := openWAL(old)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.Close()
+	if len(recs) != 5 || skipped != 0 {
+		t.Fatalf("replayed %d records (%d skipped), want 5 clean", len(recs), skipped)
+	}
+	if r := recs[2]; r.T != walDissent || r.Values == nil || len(*r.Values) != 4 || !math.IsNaN((*r.Values)[1]) {
+		t.Fatalf("dissent record = %+v, want its four values back", r)
+	}
+	if recs[0].Worker != "w<&>1" || recs[1].ElapsedMS != 17 || recs[3].Weight != 3 || recs[4].T != walQuarantine {
+		t.Fatalf("replayed records = %+v", recs)
+	}
+
+	fresh := t.TempDir()
+	w, _, _, err = openWAL(fresh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.append(false, recs[:2]...); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.append(true, recs[2:]...); err != nil {
+		t.Fatal(err)
+	}
+	w.Close()
+	got, err := os.ReadFile(filepath.Join(fresh, walFileName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != parentWAL {
+		t.Fatalf("re-encoded WAL differs:\n%s\nwant:\n%s", got, parentWAL)
 	}
 }
 

@@ -1,7 +1,7 @@
 package job
 
 import (
-	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -17,11 +17,11 @@ import (
 	"repro/internal/dsa"
 )
 
-// WriteError is the typed failure of a durable write (checkpoint
-// manifest append, atomic result file, grid WAL append): it names the
-// file and the byte offset of the first unwritten byte, so disk-full
-// and short-write conditions are actionable from a log line instead of
-// a generic wrap. Unwrap exposes the cause (syscall.ENOSPC,
+// WriteError is the typed failure of a durable write (a RecordLog
+// append — checkpoint manifest or grid WAL — or the atomic spec.json
+// write): it names the file and the byte offset of the first unwritten
+// byte, so disk-full and short-write conditions are actionable from a
+// log line instead of a generic wrap. Unwrap exposes the cause (syscall.ENOSPC,
 // io.ErrShortWrite, ...) for errors.Is.
 type WriteError struct {
 	Path string // file being written
@@ -37,9 +37,10 @@ func (e *WriteError) Error() string {
 func (e *WriteError) Unwrap() error { return e.Err }
 
 // The writer seam lets the chaos harness (internal/chaos.FileFaults)
-// interpose failing writers on every durable append — checkpoint
-// manifests, atomic result files, and the grid coordinator's WAL —
-// without the production code knowing. nil seam = writes untouched.
+// interpose failing writers on every durable write — RecordLog appends
+// (checkpoint manifests, the grid coordinator's WAL) and the atomic
+// spec.json — without the production code knowing. nil seam = writes
+// untouched.
 var (
 	seamMu sync.RWMutex
 	seamFn func(path string, w io.Writer) io.Writer
@@ -60,10 +61,9 @@ func SetWriterSeam(fn func(path string, w io.Writer) io.Writer) (restore func())
 	}
 }
 
-// WrapWriter routes one durable write for path through the installed
-// seam. Exported so the grid WAL (internal/grid) shares the same
-// fault-injection point as the checkpoint writers.
-func WrapWriter(path string, w io.Writer) io.Writer {
+// wrapWriter routes one durable write for path through the installed
+// seam.
+func wrapWriter(path string, w io.Writer) io.Writer {
 	seamMu.RLock()
 	fn := seamFn
 	seamMu.RUnlock()
@@ -80,20 +80,20 @@ func WrapWriter(path string, w io.Writer) io.Writer {
 //	                               written once, verified on every open
 //	                               so a resume can never silently mix
 //	                               incompatible results
-//	manifest-s<I>of<N>.jsonl     — append-only journal, one line per
-//	                               completed task, written by shard I of
-//	                               N; a resumed or re-sharded run opens
-//	                               its own file, and loading always
-//	                               merges every manifest-*.jsonl present
-//	task-<id>.json               — one result file per completed task
-//	                               (the values the manifest line points
-//	                               at), written atomically via rename
+//	manifest-s<I>of<N>.jsonl     — a RecordLog written by shard I of N,
+//	                               one record per completed task with
+//	                               its values inline (or a tombstone
+//	                               from Invalidate); a resumed or
+//	                               re-sharded run opens its own file,
+//	                               and loading always merges every
+//	                               manifest-*.jsonl present
 //
-// A crash can lose at most the in-flight tasks: a torn manifest line or
-// a missing/invalid result file makes that task re-run, never
-// mis-merge. Shard processes on different machines use separate dirs
-// and the manifests + task files are simply copied together for the
-// merge.
+// A crash can lose at most the in-flight tasks: a torn manifest tail is
+// skipped by readers and truncated by the manifest's writer when it
+// reopens, so the task re-runs and its new record starts on a clean
+// line, never mis-merges. Shard processes on different machines use
+// separate dirs, and their manifests are simply copied next to one
+// spec.json for the merge.
 
 const specFileName = "spec.json"
 
@@ -213,45 +213,39 @@ func DecodeSpec(raw []byte) (Spec, error) {
 	return specFromJSON("(wire spec)", sj)
 }
 
-type manifestEntry struct {
-	Task      string `json:"task"`
-	File      string `json:"file"`
-	ElapsedMS int64  `json:"elapsed_ms"`
+// taskRecord is one checkpoint manifest record: a finished task with
+// its values inline, or (Void) a tombstone that un-records it. Values
+// are dsa.JSONFloats so non-finite scores — which a domain may
+// legitimately produce and the CSV codec already round-trips —
+// checkpoint instead of panicking encoding/json.
+type taskRecord struct {
+	Task      string         `json:"task"`
+	Measure   string         `json:"measure"`
+	Lo        int            `json:"lo"`
+	Hi        int            `json:"hi"`
+	Values    dsa.JSONFloats `json:"values"`
+	ElapsedMS int64          `json:"elapsed_ms"`
+	Void      bool           `json:"void,omitempty"`
 }
 
-// resultFile carries Values as dsa.JSONFloats so non-finite scores —
-// which a domain may legitimately produce and the CSV codec already
-// round-trips — checkpoint instead of panicking encoding/json.
-type resultFile struct {
-	Task    string         `json:"task"`
-	Measure string         `json:"measure"`
-	Lo      int            `json:"lo"`
-	Hi      int            `json:"hi"`
-	Values  dsa.JSONFloats `json:"values"`
+// Checkpoint is one writer's open handle on a checkpoint directory.
+// Local runs use it, and so does the grid coordinator, which records
+// results computed by remote workers through it: grid runs and local
+// runs share one on-disk format — Load, dsa-report and a local -resume
+// all work on a directory regardless of which engine filled it.
+type Checkpoint struct {
+	log       *RecordLog           // this writer's manifest
+	completed map[string][]float64 // restored at open
 }
 
-// checkpoint is one process's open handle on a checkpoint directory.
-type checkpoint struct {
-	dir          string
-	mu           sync.Mutex
-	manifest     *os.File
-	manifestPath string
-	off          int64                // durable end of the manifest (bytes)
-	completed    map[string][]float64 // restored at open
-}
-
-// openCheckpoint prepares dir for (spec, shard shardIndex of shards):
-// it creates the directory, writes or verifies spec.json, restores
-// every completed task from existing manifests, and opens this shard's
-// manifest for appending.
-func openCheckpoint(dir string, spec Spec, shards, shardIndex int) (*checkpoint, error) {
-	return openCheckpointNamed(dir, spec, fmt.Sprintf("manifest-s%dof%d.jsonl", shardIndex, shards))
-}
-
-// openCheckpointNamed is openCheckpoint with an explicit manifest file
-// name (every writer appends to its own manifest; loading merges all
-// manifest-*.jsonl present).
-func openCheckpointNamed(dir string, spec Spec, manifestName string) (*checkpoint, error) {
+// openCheckpoint prepares dir for spec: it creates the directory,
+// writes or verifies spec.json, restores every completed task from
+// existing manifests, and opens the writer's own manifest for
+// appending (manifest-s<I>of<N>.jsonl for shard I of N,
+// manifest-grid.jsonl for the coordinator). Nothing is written before
+// the directory has been checked, so a rejected directory is left
+// untouched.
+func openCheckpoint(dir string, spec Spec, manifestName string) (*Checkpoint, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("job: checkpoint dir: %w", err)
 	}
@@ -260,7 +254,8 @@ func openCheckpointNamed(dir string, spec Spec, manifestName string) (*checkpoin
 		return nil, err
 	}
 	specPath := filepath.Join(dir, specFileName)
-	if raw, err := os.ReadFile(specPath); err == nil {
+	raw, err := os.ReadFile(specPath)
+	if err == nil {
 		var have specJSON
 		if err := json.Unmarshal(raw, &have); err != nil {
 			return nil, fmt.Errorf("job: corrupt %s: %w", specPath, err)
@@ -279,11 +274,7 @@ func openCheckpointNamed(dir string, spec Spec, manifestName string) (*checkpoin
 		case !slices.Equal(have.PointIDs, want.PointIDs):
 			return nil, fmt.Errorf("job: checkpoint %s covers a different point set (%d points, this run sweeps %d)", dir, len(have.PointIDs), len(want.PointIDs))
 		}
-	} else if os.IsNotExist(err) {
-		if err := writeFileAtomic(specPath, mustJSON(want)); err != nil {
-			return nil, err
-		}
-	} else {
+	} else if !os.IsNotExist(err) {
 		return nil, fmt.Errorf("job: checkpoint spec: %w", err)
 	}
 
@@ -291,26 +282,16 @@ func openCheckpointNamed(dir string, spec Spec, manifestName string) (*checkpoin
 	if err != nil {
 		return nil, err
 	}
-	mfPath := filepath.Join(dir, manifestName)
-	mf, err := os.OpenFile(mfPath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("job: open manifest: %w", err)
+	if raw == nil {
+		if err := writeFileAtomic(specPath, mustJSON(want)); err != nil {
+			return nil, err
+		}
 	}
-	st, err := mf.Stat()
+	log, _, err := OpenRecordLog(filepath.Join(dir, manifestName), "manifest", nil)
 	if err != nil {
-		mf.Close()
-		return nil, fmt.Errorf("job: stat manifest: %w", err)
+		return nil, err
 	}
-	return &checkpoint{dir: dir, manifest: mf, manifestPath: mfPath, off: st.Size(), completed: completed}, nil
-}
-
-// Checkpoint is an exported handle on a checkpoint directory for
-// external ingesters: the grid coordinator records results computed by
-// remote workers through it, so grid runs and local runs share one
-// on-disk format — Load, dsa-report and a local -resume all work on a
-// directory regardless of which engine filled it.
-type Checkpoint struct {
-	cp *checkpoint
+	return &Checkpoint{log: log, completed: completed}, nil
 }
 
 // OpenCheckpoint opens (or creates) dir for spec, writing or verifying
@@ -318,141 +299,103 @@ type Checkpoint struct {
 // its own manifest file (manifest-grid.jsonl), so a directory may mix
 // grid-ingested and shard-run results.
 func OpenCheckpoint(dir string, spec Spec) (*Checkpoint, error) {
-	cp, err := openCheckpointNamed(dir, spec, "manifest-grid.jsonl")
-	if err != nil {
-		return nil, err
-	}
-	return &Checkpoint{cp: cp}, nil
+	return openCheckpoint(dir, spec, "manifest-grid.jsonl")
 }
 
 // Completed returns the task-ID → values map restored from the
 // directory's manifests at open time. The caller takes ownership.
-func (c *Checkpoint) Completed() map[string][]float64 { return c.cp.completed }
+func (c *Checkpoint) Completed() map[string][]float64 { return c.completed }
 
-// Record persists one finished task (atomic result file, then a synced
-// manifest line). Safe for concurrent use.
+// Record persists one finished task as one manifest record carrying
+// its values, appended and fsynced, so a crash right after Record
+// loses nothing. Safe for concurrent use.
 func (c *Checkpoint) Record(t Task, values []float64, elapsed time.Duration) error {
-	return c.cp.record(t, values, elapsed)
+	return c.log.Append(true, taskRecord{Task: t.ID(), Measure: t.Measure, Lo: t.Lo, Hi: t.Hi,
+		Values: values, ElapsedMS: elapsed.Milliseconds()})
 }
 
 // Close closes the manifest. Record must not be called after Close.
-func (c *Checkpoint) Close() error { return c.cp.close() }
+func (c *Checkpoint) Close() error { return c.log.Close() }
 
-// Invalidate durably un-records a task: it removes the result file the
-// manifest entries point at, so every restore skips the task and it
-// re-runs. The coordinator's audit layer uses this to expunge results
-// produced by a quarantined worker; a crash between Invalidate and the
-// in-memory re-queue is safe because the on-disk state already says
-// "never completed". Re-recording the task later (Record) writes a
-// fresh result file under the same name, which the earliest manifest
-// entry then resolves to — first-entry-wins reads the file, not the
-// line.
+// Invalidate durably un-records a task: it appends a synced tombstone,
+// which voids the task's records in every manifest, so every restore
+// skips the task and it re-runs. The coordinator's audit layer uses
+// this to expunge results produced by a quarantined worker; a crash
+// between Invalidate and the in-memory re-queue is safe because the
+// on-disk state already says "never completed". Re-recording the task
+// later (Record) appends after the tombstone in this manifest, and
+// that record counts again.
 func (c *Checkpoint) Invalidate(t Task) error {
-	path := filepath.Join(c.cp.dir, "task-"+t.ID()+".json")
-	if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
-		return fmt.Errorf("job: invalidate %s: %w", path, err)
-	}
-	if err := syncDir(c.cp.dir); err != nil {
-		return fmt.Errorf("job: invalidate %s: %w", path, err)
-	}
-	return nil
+	return c.log.Append(true, map[string]any{"task": t.ID(), "void": true})
 }
 
-// record persists one finished task: the result file first (atomic
-// rename), then the manifest line that makes it count, synced so a
-// crash right after record loses nothing.
-func (c *checkpoint) record(t Task, values []float64, elapsed time.Duration) error {
-	rf := resultFile{Task: t.ID(), Measure: t.Measure, Lo: t.Lo, Hi: t.Hi, Values: values}
-	name := "task-" + t.ID() + ".json"
-	if err := writeFileAtomic(filepath.Join(c.dir, name), mustJSON(rf)); err != nil {
-		return err
-	}
-	line := append(mustJSON(manifestEntry{Task: t.ID(), File: name, ElapsedMS: elapsed.Milliseconds()}), '\n')
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n, err := WrapWriter(c.manifestPath, c.manifest).Write(line)
-	if err == nil && n < len(line) {
-		err = io.ErrShortWrite
-	}
-	if err != nil {
-		// Trim the torn tail so the next append (O_APPEND, so it
-		// lands at the new end) starts on a clean line; if the
-		// truncate itself fails the torn bytes stay and
-		// readCompleted's torn-line tolerance bounds the damage.
-		c.manifest.Truncate(c.off)
-		return &WriteError{Path: c.manifestPath, Off: c.off + int64(n), Op: "append manifest", Err: err}
-	}
-	c.off += int64(n)
-	if err := c.manifest.Sync(); err != nil {
-		return &WriteError{Path: c.manifestPath, Off: c.off, Op: "sync manifest", Err: err}
-	}
-	return nil
-}
-
-func (c *checkpoint) close() error {
-	return c.manifest.Close()
-}
-
-// readCompleted merges every manifest in dir into task-ID → values.
-// Entries that are torn, missing their result file, or inconsistent
-// with the spec's task list are skipped — the engine just re-runs those
-// tasks — so a crash mid-write can never corrupt a resumed sweep.
+// readCompleted merges every manifest in dir into task-ID → values,
+// reading without modifying any file. Within a manifest the last
+// record for a task wins; a tombstone voids the task's records in
+// every manifest except those after it in its own; across manifests
+// the first in name order wins. Torn or corrupt lines and records
+// inconsistent with the spec's task list are skipped — the engine just
+// re-runs those tasks — so a crash mid-write can never corrupt a
+// resumed sweep. A directory in the per-task-file layout is rejected.
 func readCompleted(dir string, spec Spec) (map[string][]float64, error) {
 	valid := make(map[string]Task)
 	for _, t := range spec.Tasks() {
 		valid[t.ID()] = t
 	}
-	manifests, err := filepath.Glob(filepath.Join(dir, "manifest-*.jsonl"))
+	entries, err := os.ReadDir(dir)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("job: read checkpoint dir: %w", err)
 	}
-	slices.Sort(manifests)
-	out := make(map[string][]float64)
-	for _, path := range manifests {
-		f, err := os.Open(path)
+	errLegacy := fmt.Errorf("job: checkpoint %s was written by the per-task-file layout (task-*.json result files, unframed manifest lines), "+
+		"which this engine does not read: re-run the sweep into a fresh directory, or finish it with the engine that started it", dir)
+	var manifests []map[string][]float64 // per manifest: each task's last record
+	voidIn := map[string][]int{}         // task → manifests holding a tombstone for it
+	for _, e := range entries {
+		if legacy, _ := filepath.Match("task-*.json", e.Name()); legacy {
+			return nil, errLegacy
+		}
+		if ok, _ := filepath.Match("manifest-*.jsonl", e.Name()); !ok {
+			continue
+		}
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
 		if err != nil {
 			return nil, fmt.Errorf("job: read manifest: %w", err)
 		}
-		sc := bufio.NewScanner(f)
-		sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-		for sc.Scan() {
-			var e manifestEntry
-			if json.Unmarshal(sc.Bytes(), &e) != nil {
-				continue // torn write from a crash
-			}
-			t, ok := valid[e.Task]
-			if !ok {
-				continue
-			}
-			if _, have := out[e.Task]; have {
-				continue
-			}
-			if vals, ok := readResult(filepath.Join(dir, e.File), t); ok {
-				out[e.Task] = vals
-			}
+		if bytes.HasPrefix(data, []byte(`{"task":`)) {
+			return nil, errLegacy
 		}
-		err = sc.Err()
-		f.Close()
-		if err != nil {
-			return nil, fmt.Errorf("job: read manifest %s: %w", path, err)
+		m, i := map[string][]float64{}, len(manifests)
+		scanRecords(data, func(rec []byte) bool {
+			var r taskRecord
+			if json.Unmarshal(rec, &r) != nil {
+				return false
+			}
+			t, ok := valid[r.Task]
+			switch {
+			case !ok:
+				return false
+			case r.Void:
+				delete(m, r.Task)
+				voidIn[r.Task] = append(voidIn[r.Task], i)
+			case r.Lo != t.Lo || r.Hi != t.Hi || r.Measure != t.Measure || len(r.Values) != t.Hi-t.Lo:
+				return false
+			default:
+				m[r.Task] = r.Values
+			}
+			return true
+		})
+		manifests = append(manifests, m)
+	}
+	out := make(map[string][]float64)
+	for i, m := range manifests {
+		for id, vals := range m {
+			voided := slices.ContainsFunc(voidIn[id], func(k int) bool { return k != i })
+			if _, have := out[id]; !have && !voided {
+				out[id] = vals
+			}
 		}
 	}
 	return out, nil
-}
-
-func readResult(path string, t Task) ([]float64, bool) {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return nil, false
-	}
-	var rf resultFile
-	if json.Unmarshal(raw, &rf) != nil {
-		return nil, false
-	}
-	if rf.Task != t.ID() || rf.Lo != t.Lo || rf.Hi != t.Hi || rf.Measure != t.Measure || len(rf.Values) != t.Hi-t.Lo {
-		return nil, false
-	}
-	return rf.Values, true
 }
 
 // loadCheckpoint reads dir without a target spec: the spec (and through
@@ -472,63 +415,49 @@ func loadCheckpoint(dir string) (Spec, map[string][]float64, error) {
 		return Spec{}, nil, err
 	}
 	completed, err := readCompleted(dir, spec)
-	if err != nil {
-		return Spec{}, nil, err
-	}
-	return spec, completed, nil
+	return spec, completed, err
 }
 
-// writeFileAtomic writes via a uniquely-named temp file in the same
-// directory plus rename. The unique name matters: concurrently started
-// shard processes race to write an identical spec.json, and a shared
-// temp path would let one process rename the file away between
+// writeFileAtomic writes spec.json via a uniquely-named temp file in
+// the same directory plus rename. The unique name matters: concurrently
+// started shard processes race to write an identical spec.json, and a
+// shared temp path would let one process rename the file away between
 // another's write and rename. The file is fsynced before the rename
-// and the directory after it, so a recorded task survives power loss,
-// not just process crash.
+// and the directory after it, so the spec survives power loss, not
+// just process crash.
 func writeFileAtomic(path string, data []byte) error {
 	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp-*")
 	if err != nil {
 		return fmt.Errorf("job: write %s: %w", path, err)
 	}
-	tmp := f.Name()
-	n, werr := WrapWriter(path, f).Write(data)
-	if werr == nil && n < len(data) {
-		werr = io.ErrShortWrite
+	n, err := wrapWriter(path, f).Write(data)
+	if err == nil && n < len(data) {
+		err = io.ErrShortWrite
 	}
-	op := "write"
-	if werr == nil {
-		if werr = f.Sync(); werr != nil {
-			op, n = "sync", len(data)
-		}
+	if err == nil {
+		err = f.Sync()
 	}
-	cerr := f.Close()
-	if werr == nil && cerr != nil {
-		werr, op, n = cerr, "close", len(data)
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	if werr == nil {
-		if werr = os.Chmod(tmp, 0o644); werr != nil {
-			op, n = "chmod", len(data)
-		}
+	if err == nil {
+		err = os.Chmod(f.Name(), 0o644)
 	}
-	if werr == nil {
-		if werr = os.Rename(tmp, path); werr != nil {
-			op, n = "rename", len(data)
-		}
+	if err == nil {
+		err = os.Rename(f.Name(), path)
 	}
-	if werr == nil {
-		if werr = syncDir(filepath.Dir(path)); werr != nil {
-			op, n = "sync dir of", len(data)
-		}
+	if err == nil {
+		err = syncDir(filepath.Dir(path))
 	}
-	if werr != nil {
-		os.Remove(tmp)
-		return &WriteError{Path: path, Off: int64(n), Op: op, Err: werr}
+	if err != nil {
+		os.Remove(f.Name())
+		return &WriteError{Path: path, Off: int64(n), Op: "write", Err: err}
 	}
 	return nil
 }
 
-// syncDir fsyncs a directory so a just-renamed file's directory entry
-// is durable. Filesystems that cannot sync directories (some network
+// syncDir fsyncs a directory so a just-created or just-renamed file's
+// directory entry is durable. Filesystems that cannot sync directories (some network
 // mounts) report EINVAL/ENOTSUP; those fall back silently to
 // crash-only (not power-loss) durability — the rename itself is still
 // atomic.

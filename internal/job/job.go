@@ -14,8 +14,8 @@
 //
 // Tasks are distributed round-robin over opts.Shards shard processes;
 // each process executes its share on a bounded worker pool with context
-// cancellation, checkpointing every completed task to a JSONL manifest
-// plus a per-task result file (see checkpoint.go). Restarting with the
+// cancellation, checkpointing every completed task, values inline, to a
+// CRC-framed JSONL manifest (see checkpoint.go). Restarting with the
 // same checkpoint directory skips completed tasks and merges their
 // cached values; the process whose run completes the final outstanding
 // task assembles and returns the full Scores, while earlier shards
@@ -47,8 +47,7 @@ type Task struct {
 	Lo, Hi  int
 }
 
-// ID returns the task's stable identifier, used as the checkpoint key
-// and result file stem.
+// ID returns the task's stable identifier, used as the checkpoint key.
 func (t Task) ID() string {
 	return fmt.Sprintf("%s-%05d-%05d", t.Measure, t.Lo, t.Hi)
 }
@@ -161,14 +160,14 @@ func Run(ctx context.Context, d dsa.Domain, points []core.Point, cfg dsa.Config,
 	defer func() { sweep.Int("done", int64(done)).End() }()
 
 	results := make(map[string][]float64, len(tasks))
-	var cp *checkpoint
+	var cp *Checkpoint
 	if opts.Dir != "" {
 		var err error
-		cp, err = openCheckpoint(opts.Dir, spec, shards, opts.ShardIndex)
+		cp, err = openCheckpoint(opts.Dir, spec, fmt.Sprintf("manifest-s%dof%d.jsonl", opts.ShardIndex, shards))
 		if err != nil {
 			return nil, err
 		}
-		defer cp.close()
+		defer cp.Close()
 		for id, vals := range cp.completed {
 			results[id] = vals
 		}
@@ -216,7 +215,7 @@ func Run(ctx context.Context, d dsa.Domain, points []core.Point, cfg dsa.Config,
 // runPool executes the pending tasks on a bounded worker pool,
 // journalling and recording each result as it lands; the first task or
 // sink error, or a context cancellation, stops the pool.
-func runPool(ctx context.Context, spec Spec, mine []Task, cp *checkpoint, results map[string][]float64, opts Options, total int, parent obs.SpanID, freshOut *int) error {
+func runPool(ctx context.Context, spec Spec, mine []Task, cp *Checkpoint, results map[string][]float64, opts Options, total int, parent obs.SpanID, freshOut *int) error {
 	start := time.Now()
 	var (
 		mu    sync.Mutex
@@ -224,12 +223,12 @@ func runPool(ctx context.Context, spec Spec, mine []Task, cp *checkpoint, result
 	)
 	execOpts := ExecOptions{Workers: opts.Workers, Cache: opts.Cache, Trace: opts.Trace, TraceParent: parent}
 	return ExecTasks(ctx, spec, mine, execOpts, func(t Task, vals []float64, elapsed time.Duration) error {
-		// The checkpoint write (with its fsyncs) runs concurrently
-		// across pool workers — record has its own manifest lock; only
+		// The checkpoint write (with its fsync) runs concurrently
+		// across pool workers — Record has its own manifest lock; only
 		// the in-memory bookkeeping and the Progress callback (whose
 		// contract is "serialized") go under mu.
 		if cp != nil {
-			if err := cp.record(t, vals, elapsed); err != nil {
+			if err := cp.Record(t, vals, elapsed); err != nil {
 				return err
 			}
 		}

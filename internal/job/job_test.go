@@ -20,7 +20,7 @@ func tinyCfg() dsa.Config {
 }
 
 // subset strides over the swarming space: 17 points at stride 200.
-func subset(t *testing.T) []core.Point {
+func subset(t testing.TB) []core.Point {
 	t.Helper()
 	all := pra.Domain().Space().Enumerate()
 	var pts []core.Point
