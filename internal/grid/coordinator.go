@@ -146,7 +146,7 @@ type Coordinator struct {
 	quarantined map[string]bool
 	// wal journals scheduling state (nil without Dir, or after an open
 	// failure — the grid then runs, loudly, without crash recovery).
-	wal *wal
+	wal *job.RecordLog
 	// walRecs holds replayed per-job WAL records until AddJob
 	// registers the matching job and consumes them.
 	walRecs map[string][]walRecord

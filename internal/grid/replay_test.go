@@ -551,7 +551,7 @@ func FuzzOpenWAL(f *testing.F) {
 		{T: walIngest, Job: "j", Task: "t", Worker: "w", ElapsedMS: 4},
 		{T: walDissent, Job: "j", Task: "t", Worker: "v", Values: &dissent},
 	} {
-		if err := w.append(false, r); err != nil {
+		if err := w.Append(false, r); err != nil {
 			f.Fatal(err)
 		}
 	}

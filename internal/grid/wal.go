@@ -68,7 +68,7 @@ type walRecord struct {
 // verdict-grade records are synced.
 func (c *Coordinator) record(j *gridJob, r walRecord, vals []float64) {
 	if c.wal != nil {
-		if err := c.wal.append(r.T == walQuarantine || r.T == walVerify || r.T == walDissent, r); err != nil {
+		if err := c.wal.Append(r.T == walQuarantine || r.T == walVerify || r.T == walDissent, r); err != nil {
 			c.logf("grid: %v", err)
 		} else {
 			c.metrics.walRecords.Inc()
@@ -318,18 +318,17 @@ func (c *Coordinator) apply(j *gridJob, r walRecord, vals []float64) {
 	}
 }
 
-// wal is the coordinator's journal: a job.RecordLog of walRecords.
-type wal struct{ *job.RecordLog }
-
 // openWAL opens (creating if absent) dir's WAL, replays every intact
-// record, truncates any torn tail, and returns the handle positioned
-// for appending. skipped counts complete-but-corrupt lines left in
-// place (their CRC failed; appends after them are safe).
-func openWAL(dir string) (w *wal, recs []walRecord, skipped int, err error) {
+// record, truncates any torn tail, and returns the log positioned for
+// appending. skipped counts complete-but-corrupt lines left in place
+// (their CRC failed; appends after them are safe). Appends of
+// walRecords go straight to the log's Append; a failure surfaces as
+// job.WriteError ("append wal", "sync wal").
+func openWAL(dir string) (w *job.RecordLog, recs []walRecord, skipped int, err error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, 0, fmt.Errorf("grid: wal dir: %w", err)
 	}
-	log, skipped, err := job.OpenRecordLog(filepath.Join(dir, walFileName), "wal", func(raw []byte) bool {
+	w, skipped, err = job.OpenRecordLog(filepath.Join(dir, walFileName), "wal", func(raw []byte) bool {
 		var rec walRecord
 		if json.Unmarshal(raw, &rec) != nil {
 			return false
@@ -340,19 +339,5 @@ func openWAL(dir string) (w *wal, recs []walRecord, skipped int, err error) {
 	if err != nil {
 		return nil, nil, 0, err
 	}
-	return &wal{log}, recs, skipped, nil
-}
-
-// append journals recs as one write (all-or-nothing for the batch up
-// to a torn tail, which replay tolerates). sync additionally fsyncs —
-// used for verdict-grade records (quarantine, verify) that must
-// survive power loss, not just kill -9. Write failures surface as
-// job.WriteError ("append wal", "sync wal") with path and offset, and
-// the torn tail is trimmed so the next append starts clean.
-func (w *wal) append(sync bool, recs ...walRecord) error {
-	vs := make([]any, len(recs))
-	for i, r := range recs {
-		vs[i] = r
-	}
-	return w.Append(sync, vs...)
+	return w, recs, skipped, nil
 }

@@ -40,10 +40,10 @@ func TestWALRoundTrip(t *testing.T) {
 		{T: walIngest, Job: "j", Task: "t1", Worker: "w1", ElapsedMS: 42},
 		{T: walQuarantine, Worker: "evil"},
 	}
-	if err := w.append(false, want[0], want[1]); err != nil {
+	if err := w.Append(false, want[0], want[1]); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.append(true, want[2]); err != nil { // verdict-grade: fsynced
+	if err := w.Append(true, want[2]); err != nil { // verdict-grade: fsynced
 		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {
@@ -86,7 +86,7 @@ func TestWALRoundTrip(t *testing.T) {
 	if len(recs) != len(want) || skipped != 1 {
 		t.Fatalf("after corruption: %d records (%d skipped), want %d (1 skipped)", len(recs), skipped, len(want))
 	}
-	if err := w3.append(false, walRecord{T: walExpire, Job: "j", Task: "t1", Worker: "w1"}); err != nil {
+	if err := w3.Append(false, walRecord{T: walExpire, Job: "j", Task: "t1", Worker: "w1"}); err != nil {
 		t.Fatal(err)
 	}
 	w3.Close()
@@ -145,10 +145,10 @@ func TestWALBytesUnchanged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.append(false, recs[:2]...); err != nil {
+	if err := w.Append(false, recs[0], recs[1]); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.append(true, recs[2:]...); err != nil {
+	if err := w.Append(true, recs[2], recs[3], recs[4]); err != nil {
 		t.Fatal(err)
 	}
 	w.Close()
@@ -172,13 +172,13 @@ func TestWALWriteErrorTyped(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w.Close()
-	if err := w.append(false, walRecord{T: walLease, Job: "j", Task: "t1", Worker: "w1"}); err != nil {
+	if err := w.Append(false, walRecord{T: walLease, Job: "j", Task: "t1", Worker: "w1"}); err != nil {
 		t.Fatal(err)
 	}
 
 	faults := chaos.NewFileFaults(1, 0, 1.0, walFileName) // every WAL write: ENOSPC
 	restore := job.SetWriterSeam(faults.Wrap)
-	err = w.append(false, walRecord{T: walIngest, Job: "j", Task: "t1", Worker: "w1"})
+	err = w.Append(false, walRecord{T: walIngest, Job: "j", Task: "t1", Worker: "w1"})
 	restore()
 	var werr *job.WriteError
 	if !errors.As(err, &werr) {
@@ -193,7 +193,7 @@ func TestWALWriteErrorTyped(t *testing.T) {
 
 	// The journal is still healthy: the failed record never landed, the
 	// next append does.
-	if err := w.append(false, walRecord{T: walExpire, Job: "j", Task: "t1", Worker: "w1"}); err != nil {
+	if err := w.Append(false, walRecord{T: walExpire, Job: "j", Task: "t1", Worker: "w1"}); err != nil {
 		t.Fatal(err)
 	}
 	w.Close()

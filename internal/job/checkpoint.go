@@ -217,7 +217,10 @@ func DecodeSpec(raw []byte) (Spec, error) {
 // its values inline, or (Void) a tombstone that un-records it. Values
 // are dsa.JSONFloats so non-finite scores — which a domain may
 // legitimately produce and the CSV codec already round-trips —
-// checkpoint instead of panicking encoding/json.
+// checkpoint instead of panicking encoding/json. Voids is the number
+// of tombstones for the task its writer had seen when it recorded it:
+// the record counts only if no manifest holds more, which orders
+// records and tombstones across manifests.
 type taskRecord struct {
 	Task      string         `json:"task"`
 	Measure   string         `json:"measure"`
@@ -225,6 +228,7 @@ type taskRecord struct {
 	Hi        int            `json:"hi"`
 	Values    dsa.JSONFloats `json:"values"`
 	ElapsedMS int64          `json:"elapsed_ms"`
+	Voids     int            `json:"voids,omitempty"`
 	Void      bool           `json:"void,omitempty"`
 }
 
@@ -236,6 +240,8 @@ type taskRecord struct {
 type Checkpoint struct {
 	log       *RecordLog           // this writer's manifest
 	completed map[string][]float64 // restored at open
+	mu        sync.Mutex
+	voids     map[string]int // tombstones seen per task: at open, plus this writer's
 }
 
 // openCheckpoint prepares dir for spec: it creates the directory,
@@ -278,7 +284,7 @@ func openCheckpoint(dir string, spec Spec, manifestName string) (*Checkpoint, er
 		return nil, fmt.Errorf("job: checkpoint spec: %w", err)
 	}
 
-	completed, err := readCompleted(dir, spec)
+	completed, voids, err := readCompleted(dir, spec)
 	if err != nil {
 		return nil, err
 	}
@@ -291,7 +297,7 @@ func openCheckpoint(dir string, spec Spec, manifestName string) (*Checkpoint, er
 	if err != nil {
 		return nil, err
 	}
-	return &Checkpoint{log: log, completed: completed}, nil
+	return &Checkpoint{log: log, completed: completed, voids: voids}, nil
 }
 
 // OpenCheckpoint opens (or creates) dir for spec, writing or verifying
@@ -310,61 +316,72 @@ func (c *Checkpoint) Completed() map[string][]float64 { return c.completed }
 // its values, appended and fsynced, so a crash right after Record
 // loses nothing. Safe for concurrent use.
 func (c *Checkpoint) Record(t Task, values []float64, elapsed time.Duration) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	return c.log.Append(true, taskRecord{Task: t.ID(), Measure: t.Measure, Lo: t.Lo, Hi: t.Hi,
-		Values: values, ElapsedMS: elapsed.Milliseconds()})
+		Values: values, ElapsedMS: elapsed.Milliseconds(), Voids: c.voids[t.ID()]})
 }
 
 // Close closes the manifest. Record must not be called after Close.
 func (c *Checkpoint) Close() error { return c.log.Close() }
 
 // Invalidate durably un-records a task: it appends a synced tombstone,
-// which voids the task's records in every manifest, so every restore
-// skips the task and it re-runs. The coordinator's audit layer uses
-// this to expunge results produced by a quarantined worker; a crash
-// between Invalidate and the in-memory re-queue is safe because the
-// on-disk state already says "never completed". Re-recording the task
-// later (Record) appends after the tombstone in this manifest, and
-// that record counts again.
+// which voids every record of the task written before the tombstone
+// was seen, in any manifest, so every restore skips the task and it
+// re-runs. The coordinator's audit layer uses this to expunge results
+// produced by a quarantined worker; a crash between Invalidate and the
+// in-memory re-queue is safe because the on-disk state already says
+// "never completed". A later Record of the task — by this writer, or
+// by any writer that opens the directory afterwards, such as a local
+// -resume — counts again.
 func (c *Checkpoint) Invalidate(t Task) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	// Counted even if the append fails: a count above the manifests'
+	// can only keep a later record of this writer valid, never void one.
+	c.voids[t.ID()]++
 	return c.log.Append(true, map[string]any{"task": t.ID(), "void": true})
 }
 
 // readCompleted merges every manifest in dir into task-ID → values,
-// reading without modifying any file. Within a manifest the last
-// record for a task wins; a tombstone voids the task's records in
-// every manifest except those after it in its own; across manifests
-// the first in name order wins. Torn or corrupt lines and records
-// inconsistent with the spec's task list are skipped — the engine just
-// re-runs those tasks — so a crash mid-write can never corrupt a
-// resumed sweep. A directory in the per-task-file layout is rejected.
-func readCompleted(dir string, spec Spec) (map[string][]float64, error) {
+// reading without modifying any file, and counts each task's
+// tombstones. Within a manifest the last record for a task wins and a
+// tombstone voids the records before it; a record also counts only if
+// its writer had seen at least as many tombstones for the task as all
+// manifests hold (a tombstone it had not seen postdates it); across
+// manifests the first in name order wins. Torn or corrupt lines and
+// records inconsistent with the spec's task list are skipped — the
+// engine just re-runs those tasks — so a crash mid-write can never
+// corrupt a resumed sweep. A directory in the per-task-file layout is
+// rejected.
+func readCompleted(dir string, spec Spec) (completed map[string][]float64, voids map[string]int, err error) {
 	valid := make(map[string]Task)
 	for _, t := range spec.Tasks() {
 		valid[t.ID()] = t
 	}
 	entries, err := os.ReadDir(dir)
 	if err != nil {
-		return nil, fmt.Errorf("job: read checkpoint dir: %w", err)
+		return nil, nil, fmt.Errorf("job: read checkpoint dir: %w", err)
 	}
 	errLegacy := fmt.Errorf("job: checkpoint %s was written by the per-task-file layout (task-*.json result files, unframed manifest lines), "+
 		"which this engine does not read: re-run the sweep into a fresh directory, or finish it with the engine that started it", dir)
-	var manifests []map[string][]float64 // per manifest: each task's last record
-	voidIn := map[string][]int{}         // task → manifests holding a tombstone for it
+	var manifests []map[string]taskRecord // per manifest: each task's last record
+	voids = map[string]int{}
 	for _, e := range entries {
 		if legacy, _ := filepath.Match("task-*.json", e.Name()); legacy {
-			return nil, errLegacy
+			return nil, nil, errLegacy
 		}
 		if ok, _ := filepath.Match("manifest-*.jsonl", e.Name()); !ok {
 			continue
 		}
 		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
 		if err != nil {
-			return nil, fmt.Errorf("job: read manifest: %w", err)
+			return nil, nil, fmt.Errorf("job: read manifest: %w", err)
 		}
 		if bytes.HasPrefix(data, []byte(`{"task":`)) {
-			return nil, errLegacy
+			return nil, nil, errLegacy
 		}
-		m, i := map[string][]float64{}, len(manifests)
+		m := map[string]taskRecord{}
 		scanRecords(data, func(rec []byte) bool {
 			var r taskRecord
 			if json.Unmarshal(rec, &r) != nil {
@@ -376,26 +393,25 @@ func readCompleted(dir string, spec Spec) (map[string][]float64, error) {
 				return false
 			case r.Void:
 				delete(m, r.Task)
-				voidIn[r.Task] = append(voidIn[r.Task], i)
+				voids[r.Task]++
 			case r.Lo != t.Lo || r.Hi != t.Hi || r.Measure != t.Measure || len(r.Values) != t.Hi-t.Lo:
 				return false
 			default:
-				m[r.Task] = r.Values
+				m[r.Task] = r
 			}
 			return true
 		})
 		manifests = append(manifests, m)
 	}
-	out := make(map[string][]float64)
-	for i, m := range manifests {
-		for id, vals := range m {
-			voided := slices.ContainsFunc(voidIn[id], func(k int) bool { return k != i })
-			if _, have := out[id]; !have && !voided {
-				out[id] = vals
+	completed = make(map[string][]float64)
+	for _, m := range manifests {
+		for id, r := range m {
+			if _, have := completed[id]; !have && r.Voids >= voids[id] {
+				completed[id] = r.Values
 			}
 		}
 	}
-	return out, nil
+	return completed, voids, nil
 }
 
 // loadCheckpoint reads dir without a target spec: the spec (and through
@@ -414,7 +430,7 @@ func loadCheckpoint(dir string) (Spec, map[string][]float64, error) {
 	if err != nil {
 		return Spec{}, nil, err
 	}
-	completed, err := readCompleted(dir, spec)
+	completed, _, err := readCompleted(dir, spec)
 	return spec, completed, err
 }
 
@@ -430,28 +446,31 @@ func writeFileAtomic(path string, data []byte) error {
 	if err != nil {
 		return fmt.Errorf("job: write %s: %w", path, err)
 	}
+	tmp := f.Name()
 	n, err := wrapWriter(path, f).Write(data)
 	if err == nil && n < len(data) {
 		err = io.ErrShortWrite
 	}
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Chmod(f.Name(), 0o644)
-	}
-	if err == nil {
-		err = os.Rename(f.Name(), path)
-	}
-	if err == nil {
-		err = syncDir(filepath.Dir(path))
+	op := "write"
+	for _, step := range []struct {
+		op string
+		do func() error
+	}{
+		{"sync", f.Sync},
+		{"close", f.Close},
+		{"chmod", func() error { return os.Chmod(tmp, 0o644) }},
+		{"rename", func() error { return os.Rename(tmp, path) }},
+		{"sync dir of", func() error { return syncDir(filepath.Dir(path)) }},
+	} {
+		if err != nil {
+			break
+		}
+		op, n, err = step.op, len(data), step.do()
 	}
 	if err != nil {
-		os.Remove(f.Name())
-		return &WriteError{Path: path, Off: int64(n), Op: "write", Err: err}
+		f.Close() // a no-op error if the close step already ran
+		os.Remove(tmp)
+		return &WriteError{Path: path, Off: int64(n), Op: op, Err: err}
 	}
 	return nil
 }

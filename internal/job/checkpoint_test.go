@@ -15,6 +15,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"repro/internal/pra"
 )
 
 // taskVals is a recognisable value slice for task, offset by base.
@@ -123,6 +125,40 @@ func TestCheckpointRecordRules(t *testing.T) {
 	want[b.ID()] = taskVals(b, 3)
 	if got := reopen(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("after Record following Invalidate: %v, want %v", got, want)
+	}
+}
+
+// TestResumeAfterInvalidateCompletes: a task the grid coordinator
+// invalidated (a tombstone in manifest-grid.jsonl) and a local -resume
+// then re-ran stays done — the resume's record postdates the tombstone
+// — so a second resume has nothing left to do and the directory loads.
+func TestResumeAfterInvalidateCompletes(t *testing.T) {
+	pts := subset(t)[:2]
+	ctx := context.Background()
+	want := mustRun(t, ctx, pts, Options{Chunk: 2})
+	dir := t.TempDir()
+	spec := Spec{Domain: pra.Domain(), Points: pts, Cfg: tinyCfg(), Chunk: 2}
+	cp, err := OpenCheckpoint(dir, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	task := spec.Tasks()[0]
+	for _, err := range []error{cp.Record(task, taskVals(task, 7), 0), cp.Invalidate(task), cp.Close()} {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 2; i++ {
+		if got := mustRun(t, ctx, pts, Options{Dir: dir, Chunk: 2}); !reflect.DeepEqual(got, want) {
+			t.Fatalf("resume %d does not match the uninterrupted run", i+1)
+		}
+	}
+	got, err := Load(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("Load after the resumes does not match the uninterrupted run")
 	}
 }
 

@@ -195,7 +195,7 @@ func Run(ctx context.Context, d dsa.Domain, points []core.Point, cfg dsa.Config,
 		// Concurrently running shards may have journalled more tasks
 		// since we opened the checkpoint; pick them up so the shard
 		// that finishes last assembles the full result.
-		latest, err := readCompleted(opts.Dir, spec)
+		latest, _, err := readCompleted(opts.Dir, spec)
 		if err != nil {
 			return nil, err
 		}
